@@ -181,25 +181,44 @@ BM_FetchSimCompressed(benchmark::State &state)
         auto stats = core::runFetch(a, SchemeClass::kCompressed);
         benchmark::DoNotOptimize(stats.cycles);
     }
+    state.SetItemsProcessed(
+        std::int64_t(state.iterations()) *
+        std::int64_t(a.execution.trace.events.size()));
 }
 BENCHMARK(BM_FetchSimCompressed)->Unit(benchmark::kMillisecond);
 
+/** Emulate the first program, recording its block trace or not. */
 void
-BM_Emulate(benchmark::State &state)
+emulate(benchmark::State &state, bool record_trace)
 {
     const auto &a = bench::allArtifacts().front().artifacts();
     sim::EmulatorConfig config;
-    config.recordTrace = false;
+    config.recordTrace = record_trace;
     for (auto _ : state) {
         auto result = sim::emulate(a.compiled.program,
                                    a.compiled.data, config);
         benchmark::DoNotOptimize(result.exitValue);
+        benchmark::DoNotOptimize(result.trace.events.data());
     }
     state.SetItemsProcessed(
         std::int64_t(state.iterations()) *
         std::int64_t(a.execution.dynamicOps));
 }
+
+void
+BM_Emulate(benchmark::State &state)
+{
+    emulate(state, false);
+}
 BENCHMARK(BM_Emulate)->Unit(benchmark::kMillisecond);
+
+// The engine's second emulation of every program records the trace.
+void
+BM_EmulateTrace(benchmark::State &state)
+{
+    emulate(state, true);
+}
+BENCHMARK(BM_EmulateTrace)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
