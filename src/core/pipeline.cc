@@ -1,7 +1,6 @@
 #include "core/pipeline.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <string>
 
 #include "asmgen/layout.hh"
@@ -10,6 +9,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
+#include "support/text_file.hh"
 #include "support/trace.hh"
 
 namespace tepic::core {
@@ -679,15 +679,8 @@ bool
 writeSizeReport(const std::string &path, const std::string &name,
                 const std::vector<SizeReportEntry> &entries)
 {
-    const std::string json = sizeReportJson(name, entries);
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        TEPIC_WARN("size report: cannot write '", path, "'");
-        return false;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return true;
+    return support::writeTextFile(path, sizeReportJson(name, entries),
+                                  "size report");
 }
 
 } // namespace tepic::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <set>
 
 #include "core/pipeline.hh"
@@ -10,6 +9,7 @@
 #include "support/keys.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workload.hh"
 
@@ -33,23 +33,6 @@ predictorToken(fetch::PredictorKind kind)
       case fetch::PredictorKind::kPas: return "pas";
     }
     return "?";
-}
-
-bool
-writeStringFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        TEPIC_WARN("cannot open ", path, " for writing");
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-        TEPIC_WARN("short write to ", path);
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -578,7 +561,8 @@ bool
 writeReport(const std::string &path, const std::string &name,
             const SweepResult &result)
 {
-    return writeStringFile(path, reportJson(result, name));
+    return support::writeTextFile(path, reportJson(result, name),
+                                  "sweep report");
 }
 
 void

@@ -1,11 +1,7 @@
 #include "fetch/cache_stats.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "support/keys.hh"
@@ -26,7 +22,7 @@ CacheStats::merge(const CacheStats &other)
         *this = other;
         return;
     }
-    TEPIC_ASSERT(sameGeometry(other),
+    TEPIC_ASSERT(sameShape(other),
                  "CacheStats::merge across cache geometries (the "
                  "session layer must key these apart)");
     fetches += other.fetches;
@@ -128,7 +124,7 @@ CacheStats::assertTiling() const
     (void)hit_sum;
 }
 
-#if TEPIC_CACHESTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 // ---------------------------------------------------------------------------
 // ReuseDistanceTracker.
@@ -431,30 +427,14 @@ CacheStatsRecorder::finish()
     return std::move(stats_);
 }
 
-#endif // TEPIC_CACHESTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 // ---------------------------------------------------------------------------
-// Session store (compiled unconditionally, like support::sched).
+// Session store (compiled unconditionally; support/report_session.hh).
 
 namespace cachestats {
 
 namespace {
-
-struct Store
-{
-    std::atomic<bool> enabled{false};
-    std::mutex mutex;
-    // workload -> scheme name -> merged record; std::map so report
-    // iteration order is deterministic.
-    std::map<std::string, std::map<std::string, CacheStats>> workloads;
-};
-
-Store &
-store()
-{
-    static Store s;
-    return s;
-}
 
 std::string
 geometryKey(const CacheStats &stats)
@@ -574,107 +554,12 @@ appendScheme(std::string &out, const CacheStats &s,
 
 } // namespace
 
-bool
-enabled()
+support::ReportSession<CacheStats> &
+session()
 {
-    return store().enabled.load(std::memory_order_relaxed);
-}
-
-void
-startSession()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.workloads.clear();
-    }
-    s.enabled.store(true, std::memory_order_release);
-}
-
-void
-endSession()
-{
-    store().enabled.store(false, std::memory_order_relaxed);
-}
-
-void
-record(const std::string &workload, SchemeClass scheme,
-       const CacheStats &stats)
-{
-    if (!enabled() || !stats.recorded)
-        return;
-    auto &s = store();
-    const std::string key = workload.empty() ? "-" : workload;
-    const std::string scheme_name = schemeClassName(scheme);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    CacheStats &slot = s.workloads[key][scheme_name];
-    if (slot.recorded && !slot.sameGeometry(stats)) {
-        // Same workload simulated under a different geometry (a
-        // sweep): keep it apart rather than asserting in merge().
-        s.workloads[key + geometryKey(stats)][scheme_name].merge(
-            stats);
-        return;
-    }
-    slot.merge(stats);
-}
-
-std::string
-reportJson(const std::string &name)
-{
-    auto &s = store();
-    std::string out = "{\n";
-    out += "  \"schema\": \"tepic-cache-v1\",\n";
-    out += "  \"name\": " + support::jsonQuote(name) + ",\n";
-    out += "  \"structure\": {\n";
-    out += "    \"workloads\": {";
-    std::lock_guard<std::mutex> lock(s.mutex);
-    bool first_wl = true;
-    for (const auto &[workload, schemes] : s.workloads) {
-        if (!first_wl)
-            out += ",";
-        first_wl = false;
-        out += "\n      " + support::jsonQuote(workload) + ": {";
-        bool first_scheme = true;
-        for (const auto &[scheme, stats] : schemes) {
-            if (!first_scheme)
-                out += ",";
-            first_scheme = false;
-            out += "\n        " + support::jsonQuote(scheme) + ": ";
-            appendScheme(out, stats, "        ");
-        }
-        out += "\n      }";
-    }
-    out += s.workloads.empty() ? "}\n" : "\n    }\n";
-    out += "  }\n";
-    out += "}\n";
-    return out;
-}
-
-bool
-writeReport(const std::string &path, const std::string &name)
-{
-    const std::string json = reportJson(name);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open cache report output '", path, "'");
-        return false;
-    }
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to cache report output '", path, "'");
-    return ok;
-}
-
-void
-resetForTest()
-{
-    auto &s = store();
-    s.enabled.store(false, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.workloads.clear();
+    static support::ReportSession<CacheStats> s(
+        "tepic-cache-v1", "cache report", geometryKey, appendScheme);
+    return s;
 }
 
 } // namespace cachestats

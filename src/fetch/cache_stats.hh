@@ -52,8 +52,8 @@
  * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one null
  * pointer check per path, bounded by the fig14 time-band gate.
  *
- * Session layer (cachestats::) mirrors support::sched: benches and
- * tepicc --cache-report= start a session, runFetch() records each
+ * Session layer (cachestats::) is a support::ReportSession: benches
+ * and tepicc --cache-report= start a session, runFetch() records each
  * simulation under its workload label, and reportJson() renders
  * schema "tepic-cache-v1". The session store is compiled
  * unconditionally so disabled builds still write valid (empty)
@@ -69,12 +69,9 @@
 
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
+#include "support/report_session.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
-
-#ifndef TEPIC_CACHESTATS_ENABLED
-#define TEPIC_CACHESTATS_ENABLED TEPIC_TRACING_ENABLED
-#endif
 
 namespace tepic::fetch {
 
@@ -156,8 +153,9 @@ struct CacheStats
 
     static constexpr std::int64_t kUseHistogramOverflow = 64;
 
+    /** Same geometry (the session store's merge condition). */
     bool
-    sameGeometry(const CacheStats &other) const
+    sameShape(const CacheStats &other) const
     {
         return sets == other.sets && ways == other.ways &&
                lineBytes == other.lineBytes &&
@@ -190,7 +188,7 @@ struct CacheStats
     void assertTiling() const;
 };
 
-#if TEPIC_CACHESTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 /**
  * Exact reuse distances in O(log B) per access: each live block
@@ -284,7 +282,7 @@ class CacheStatsRecorder final : public CacheLineObserver
     void shadowPushFront(std::uint32_t line);
 };
 
-#else // !TEPIC_CACHESTATS_ENABLED — the recorder folds away.
+#else // !TEPIC_TRACING_ENABLED — the recorder folds away.
 
 class ReuseDistanceTracker
 {
@@ -317,44 +315,44 @@ class CacheStatsRecorder final : public CacheLineObserver
     CacheStats finish() { return CacheStats{}; }
 };
 
-#endif // TEPIC_CACHESTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 /**
- * Session-scoped CACHE-report store, mirroring support::sched: one
- * relaxed atomic until startSession(). core::runFetch() records each
- * simulation under its workload label; geometry-mismatched records
- * for the same (workload, scheme) are keyed apart under
- * "<workload>@<sets>x<ways>x<lineBytes>" so merge() never crosses
- * geometries. Compiled unconditionally: disabled builds write valid
- * empty reports.
+ * Session-scoped CACHE-report store: a support::ReportSession (see
+ * there for each entry point) rendering schema "tepic-cache-v1".
+ * core::runFetch() records each simulation under its workload label;
+ * geometry-mismatched records for the same (workload, scheme) are
+ * keyed apart under "<workload>@<sets>x<ways>x<lineBytes>" so merge()
+ * never crosses geometries.
  */
 namespace cachestats {
 
-/** Runtime switch; one relaxed atomic load. */
-bool enabled();
+/** The process-wide store behind the entry points below. */
+support::ReportSession<CacheStats> &session();
 
-/** Reset the store and enable recording. */
-void startSession();
+inline bool enabled() { return session().enabled(); }
+inline void startSession() { session().start(); }
+inline void endSession() { session().end(); }
+inline void resetForTest() { session().resetForTest(); }
 
-/** Disable recording; recorded data stays until the next start. */
-void endSession();
+inline void
+record(const std::string &workload, SchemeClass scheme,
+       const CacheStats &stats)
+{
+    session().record(workload, schemeClassName(scheme), stats);
+}
 
-/** Merge one simulation's record under (@p workload, @p scheme). */
-void record(const std::string &workload, SchemeClass scheme,
-            const CacheStats &stats);
+inline std::string
+reportJson(const std::string &name)
+{
+    return session().reportJson(name);
+}
 
-/**
- * Render schema "tepic-cache-v1": {"schema", "name", "structure"}.
- * Everything under "structure" is exact-gated across --jobs (the
- * recorder is a pure function of trace + config).
- */
-std::string reportJson(const std::string &name);
-
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name);
-
-/** Drop all recorded state and disable (tests only). */
-void resetForTest();
+inline bool
+writeReport(const std::string &path, const std::string &name)
+{
+    return session().writeReport(path, name);
+}
 
 } // namespace cachestats
 

@@ -55,12 +55,12 @@
  * the recorder folds to no-op stubs under -DTEPIC_ENABLE_TRACING=OFF
  * — the disabled hot loop pays one null pointer check per event.
  *
- * Session layer (hotstats::) mirrors fetch::cachestats: benches and
- * tepicc --hot-report= start a session, runFetch() records each
- * simulation under its workload label, and reportJson() renders
- * schema "tepic-hot-v1". The session store is compiled
- * unconditionally so disabled builds still write valid (empty)
- * reports.
+ * Session layer (hotstats::) is a support::ReportSession, like
+ * fetch::cachestats: benches and tepicc --hot-report= start a
+ * session, runFetch() records each simulation under its workload
+ * label, and reportJson() renders schema "tepic-hot-v1". The
+ * session store is compiled unconditionally so disabled builds
+ * still write valid (empty) reports.
  */
 
 #ifndef TEPIC_FETCH_HOT_STATS_HH
@@ -71,11 +71,8 @@
 #include <vector>
 
 #include "fetch/cycle_model.hh"
+#include "support/report_session.hh"
 #include "support/trace.hh"
-
-#ifndef TEPIC_HOTSTATS_ENABLED
-#define TEPIC_HOTSTATS_ENABLED TEPIC_TRACING_ENABLED
-#endif
 
 namespace tepic::fetch {
 
@@ -183,7 +180,7 @@ struct HotStats
     void assertTiling() const;
 };
 
-#if TEPIC_HOTSTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 /** One simulation's recording hooks; see the file comment. */
 class HotStatsRecorder final
@@ -228,7 +225,7 @@ class HotStatsRecorder final
     bool lastPredictionWrong_ = false;
 };
 
-#else // !TEPIC_HOTSTATS_ENABLED — the recorder folds away.
+#else // !TEPIC_TRACING_ENABLED — the recorder folds away.
 
 class HotStatsRecorder final
 {
@@ -248,44 +245,44 @@ class HotStatsRecorder final
     HotStats finish() { return HotStats{}; }
 };
 
-#endif // TEPIC_HOTSTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 /**
- * Session-scoped HOT-report store, mirroring fetch::cachestats: one
- * relaxed atomic until startSession(). core::runFetch() records each
- * simulation under its workload label; shape-mismatched records for
- * the same (workload, scheme) are keyed apart under
- * "<workload>@B<staticBlocks>xE<phaseEpochs>" so merge() never
- * crosses programs. Compiled unconditionally: disabled builds write
- * valid empty reports.
+ * Session-scoped HOT-report store: a support::ReportSession (see
+ * there for each entry point) rendering schema "tepic-hot-v1".
+ * core::runFetch() records each simulation under its workload label;
+ * shape-mismatched records for the same (workload, scheme) are keyed
+ * apart under "<workload>@B<staticBlocks>xE<phaseEpochs>" so merge()
+ * never crosses programs.
  */
 namespace hotstats {
 
-/** Runtime switch; one relaxed atomic load. */
-bool enabled();
+/** The process-wide store behind the entry points below. */
+support::ReportSession<HotStats> &session();
 
-/** Reset the store and enable recording. */
-void startSession();
+inline bool enabled() { return session().enabled(); }
+inline void startSession() { session().start(); }
+inline void endSession() { session().end(); }
+inline void resetForTest() { session().resetForTest(); }
 
-/** Disable recording; recorded data stays until the next start. */
-void endSession();
+inline void
+record(const std::string &workload, SchemeClass scheme,
+       const HotStats &stats)
+{
+    session().record(workload, schemeClassName(scheme), stats);
+}
 
-/** Merge one simulation's record under (@p workload, @p scheme). */
-void record(const std::string &workload, SchemeClass scheme,
-            const HotStats &stats);
+inline std::string
+reportJson(const std::string &name)
+{
+    return session().reportJson(name);
+}
 
-/**
- * Render schema "tepic-hot-v1": {"schema", "name", "structure"}.
- * Everything under "structure" is exact-gated across --jobs (the
- * recorder is a pure function of trace + config).
- */
-std::string reportJson(const std::string &name);
-
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name);
-
-/** Drop all recorded state and disable (tests only). */
-void resetForTest();
+inline bool
+writeReport(const std::string &path, const std::string &name)
+{
+    return session().writeReport(path, name);
+}
 
 } // namespace hotstats
 

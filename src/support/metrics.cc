@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "support/logging.hh"
+#include "support/text_file.hh"
 
 namespace tepic::support {
 
@@ -33,17 +34,13 @@ jsonQuote(std::string_view text)
     return out;
 }
 
-namespace {
-
 std::string
-formatDouble(double value)
+jsonNumber(double value)
 {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.12g", value);
     return buf;
 }
-
-} // namespace
 
 void
 MetricsRegistry::addCounter(std::string_view name, std::uint64_t delta)
@@ -231,7 +228,7 @@ MetricsRegistry::toJson() const
         out += std::to_string(value);
     });
     section("gauges", gauges_, [&out](double value) {
-        out += formatDouble(value);
+        out += jsonNumber(value);
     });
     section("histograms", histograms_, [&out](const Histogram &hist) {
         out += "{\"total\": " + std::to_string(hist.total());
@@ -253,10 +250,10 @@ MetricsRegistry::toJson() const
     });
     section("timings", timings_, [&out](const ScalarStat &stat) {
         out += "{\"count\": " + std::to_string(stat.count());
-        out += ", \"min\": " + formatDouble(stat.min());
-        out += ", \"max\": " + formatDouble(stat.max());
-        out += ", \"mean\": " + formatDouble(stat.mean());
-        out += ", \"sum\": " + formatDouble(stat.sum()) + "}";
+        out += ", \"min\": " + jsonNumber(stat.min());
+        out += ", \"max\": " + jsonNumber(stat.max());
+        out += ", \"mean\": " + jsonNumber(stat.mean());
+        out += ", \"sum\": " + jsonNumber(stat.sum()) + "}";
     });
     section("runtime", runtime_, [&out](std::uint64_t value) {
         out += std::to_string(value);
@@ -269,15 +266,7 @@ MetricsRegistry::toJson() const
 bool
 MetricsRegistry::writeJsonFile(const std::string &path) const
 {
-    const std::string json = toJson();
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        TEPIC_WARN("metrics: cannot write '", path, "'");
-        return false;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    return true;
+    return writeTextFile(path, toJson(), "metrics");
 }
 
 MetricsRegistry &

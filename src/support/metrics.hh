@@ -42,6 +42,9 @@ namespace tepic::support {
 /** JSON string literal (quotes + escapes) for @p text. */
 std::string jsonQuote(std::string_view text);
 
+/** JSON number text for @p value ("%.12g", the reports' precision). */
+std::string jsonNumber(double value);
+
 class MetricsRegistry
 {
   public:

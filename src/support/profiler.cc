@@ -13,8 +13,9 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 #include <atomic>
 #include <cstdlib>
 
@@ -39,7 +40,7 @@
 #else
 #define TEPIC_PROF_HAVE_SIGNALS 0
 #endif
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 namespace tepic::support::prof {
 
@@ -69,14 +70,6 @@ phaseName(Phase phase)
 namespace {
 
 constexpr unsigned kNumValues = 5;  // cycles, instr, cmiss, bmiss, cpu_ns
-
-std::string
-formatGaugeValue(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
 
 void
 appendCountersJson(std::string &out, const PhaseCounters &c,
@@ -146,7 +139,7 @@ renderReport(const std::string &name, const char *source,
         out += first ? "\n" : ",\n";
         first = false;
         out += "    " + jsonQuote(gauge.substr(std::strlen("prof."))) +
-               ": " + formatGaugeValue(metrics.gauge(gauge));
+               ": " + jsonNumber(metrics.gauge(gauge));
     }
     out += first ? "},\n" : "\n  },\n";
 
@@ -160,26 +153,9 @@ renderReport(const std::string &name, const char *source,
     return out;
 }
 
-bool
-writeStringFile(const std::string &path, const std::string &text,
-                const char *what)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open ", what, " output '", path, "'");
-        return false;
-    }
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
-                    text.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to ", what, " output '", path, "'");
-    return ok;
-}
-
 } // namespace
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 namespace {
 
@@ -733,14 +709,6 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
                         snap, metrics);
 }
 
-bool
-writeReport(const std::string &path, const std::string &name,
-            const MetricsRegistry &metrics)
-{
-    return writeStringFile(path, reportJson(name, metrics),
-                           "prof report");
-}
-
 // ---------------------------------------------------------------------------
 // Sampling.
 
@@ -840,8 +808,7 @@ collapsedStacks()
 bool
 writeCollapsed(const std::string &path)
 {
-    return writeStringFile(path, collapsedStacks(),
-                           "collapsed stacks");
+    return writeTextFile(path, collapsedStacks(), "collapsed stacks");
 }
 
 void
@@ -867,7 +834,7 @@ resetForTest()
 #endif
 }
 
-#else // !TEPIC_PROFILING_ENABLED
+#else // !TEPIC_TRACING_ENABLED
 
 std::string
 reportJson(const std::string &name, const MetricsRegistry &metrics)
@@ -875,14 +842,14 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
     return renderReport(name, "disabled", Snapshot{}, metrics);
 }
 
+#endif // TEPIC_TRACING_ENABLED
+
 bool
 writeReport(const std::string &path, const std::string &name,
             const MetricsRegistry &metrics)
 {
-    return writeStringFile(path, reportJson(name, metrics),
-                           "prof report");
+    return writeTextFile(path, reportJson(name, metrics),
+                         "prof report");
 }
-
-#endif // TEPIC_PROFILING_ENABLED
 
 } // namespace tepic::support::prof

@@ -44,9 +44,9 @@
  *   prof.*        runtime — raw per-phase counter values (env data)
  *
  * Compile-time disable: profiling follows the tracing switch
- * (-DTEPIC_ENABLE_TRACING=OFF) unless TEPIC_PROFILING_ENABLED is set
- * explicitly; disabled, ProfScope is an empty type and every entry
- * point folds to an inline no-op.
+ * (TEPIC_TRACING_ENABLED, CMake -DTEPIC_ENABLE_TRACING=OFF);
+ * disabled, ProfScope is an empty type and every entry point folds
+ * to an inline no-op.
  */
 
 #ifndef TEPIC_SUPPORT_PROFILER_HH
@@ -56,10 +56,6 @@
 #include <string>
 
 #include "support/trace.hh"
-
-#ifndef TEPIC_PROFILING_ENABLED
-#define TEPIC_PROFILING_ENABLED TEPIC_TRACING_ENABLED
-#endif
 
 namespace tepic::support {
 
@@ -117,7 +113,21 @@ struct Snapshot
     std::uint64_t samplesDropped = 0;
 };
 
-#if TEPIC_PROFILING_ENABLED
+/**
+ * Render schema "tepic-prof-v1": source, total, all phases (tiling
+ * total exactly), the registry's prof.work.* counters, the derived
+ * prof.* throughput gauges, and sampling stats. Compiled in either
+ * way: with profiling compiled out it is a stub report (all-zero
+ * phases, source "disabled"), so --prof-report= callers keep working.
+ */
+std::string reportJson(const std::string &name,
+                       const MetricsRegistry &metrics);
+
+/** reportJson() to a file; warns (returns false) on I/O failure. */
+bool writeReport(const std::string &path, const std::string &name,
+                 const MetricsRegistry &metrics);
+
+#if TEPIC_TRACING_ENABLED
 
 /** Compiled in? (Runtime phase accounting is always on when so.) */
 inline bool available() { return true; }
@@ -142,18 +152,6 @@ Snapshot snapshot();
  * gauge key set is stable run to run.
  */
 void exportMetricsTo(MetricsRegistry &metrics);
-
-/**
- * Render schema "tepic-prof-v1": source, total, all phases (tiling
- * total exactly), the registry's prof.work.* counters, the derived
- * prof.* throughput gauges, and sampling stats.
- */
-std::string reportJson(const std::string &name,
-                       const MetricsRegistry &metrics);
-
-/** reportJson() to a file; warns (returns false) on I/O failure. */
-bool writeReport(const std::string &path, const std::string &name,
-                 const MetricsRegistry &metrics);
 
 /**
  * CLOCK_THREAD_CPUTIME_ID now, for callers that attribute their own
@@ -202,7 +200,7 @@ class ProfScope
 /** Drop every thread's charges and the session mark (tests only). */
 void resetForTest();
 
-#else // !TEPIC_PROFILING_ENABLED — everything folds away.
+#else // !TEPIC_TRACING_ENABLED — everything folds away.
 
 inline bool available() { return false; }
 inline void startSession() {}
@@ -215,14 +213,6 @@ inline std::string collapsedStacks() { return {}; }
 inline bool writeCollapsed(const std::string &) { return false; }
 inline void resetForTest() {}
 
-// Out of line even when disabled: a stub PROF report (all-zero
-// phases, source "disabled") keeps --prof-report= callers working in
-// -DTEPIC_ENABLE_TRACING=OFF builds.
-std::string reportJson(const std::string &name,
-                       const MetricsRegistry &metrics);
-bool writeReport(const std::string &path, const std::string &name,
-                 const MetricsRegistry &metrics);
-
 class ProfScope
 {
   public:
@@ -231,7 +221,7 @@ class ProfScope
     ProfScope &operator=(const ProfScope &) = delete;
 };
 
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 } // namespace prof
 

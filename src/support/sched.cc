@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
@@ -11,6 +10,7 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text_file.hh"
 
 namespace tepic::support::sched {
 
@@ -147,30 +147,6 @@ workerName(std::uint32_t worker)
     if (worker == kMainWorker)
         return "main";
     return "w" + std::to_string(worker);
-}
-
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
-bool
-writeStringFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        TEPIC_WARN("cannot open sched report output '", path, "'");
-        return false;
-    }
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
-                    text.size();
-    std::fclose(f);
-    if (!ok)
-        TEPIC_WARN("short write to sched report output '", path, "'");
-    return ok;
 }
 
 } // namespace
@@ -590,15 +566,15 @@ reportJson(const std::string &name)
     }
     out += "],\n";
     out += "    \"speedup\": {\"achievable\": " +
-           formatDouble(a.achievableSpeedup) +
-           ", \"achieved\": " + formatDouble(a.achievedSpeedup) +
+           jsonNumber(a.achievableSpeedup) +
+           ", \"achieved\": " + jsonNumber(a.achievedSpeedup) +
            "},\n";
     out += "    \"parallelism\": {\"bucket_ns\": " +
            std::to_string(a.bucketNs) + ", \"concurrency\": [";
     for (std::size_t i = 0; i < a.concurrency.size(); ++i) {
         if (i)
             out += ", ";
-        out += formatDouble(a.concurrency[i]);
+        out += jsonNumber(a.concurrency[i]);
     }
     out += "]},\n";
 
@@ -646,7 +622,7 @@ reportJson(const std::string &name)
 bool
 writeReport(const std::string &path, const std::string &name)
 {
-    return writeStringFile(path, reportJson(name));
+    return writeTextFile(path, reportJson(name), "sched report");
 }
 
 void

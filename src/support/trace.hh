@@ -51,9 +51,11 @@ void start(const std::string &path);
 
 /**
  * Disable collection, flush every thread buffer, and write the JSON
- * file given to start() (if any). No-op when never started.
+ * file given to start() (if any). Returns false (after a warning)
+ * only when that write fails; no-op returning true when never
+ * started.
  */
-void stop();
+bool stop();
 
 /** Like stop(), but return the JSON instead of writing a file. */
 std::string stopToJson();
@@ -98,7 +100,7 @@ std::size_t pendingEvents();
 
 inline bool enabled() { return false; }
 inline void start(const std::string &) {}
-inline void stop() {}
+inline bool stop() { return true; }
 inline std::string stopToJson() { return "{\"traceEvents\":[]}"; }
 inline void instant(const char *, const char * = "tepic") {}
 inline void counter(const char *, double, const char * = "tepic") {}

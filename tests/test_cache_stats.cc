@@ -36,7 +36,7 @@ using fetch::CacheStats;
 using fetch::CacheStatsConfig;
 using fetch::SchemeClass;
 
-#if TEPIC_CACHESTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 using fetch::CacheStatsRecorder;
 using fetch::ReuseDistanceTracker;
@@ -530,7 +530,7 @@ TEST(CacheReport, DisabledSessionRecordsNothing)
         doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_CACHESTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 // ---------------------------------------------------------------------------
 // Unconditional: the report stays a valid document in disabled

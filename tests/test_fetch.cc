@@ -460,7 +460,7 @@ TEST(Atb, SiteKeyingIsAliasFree)
     EXPECT_EQ(atb.predictNext(b), fx.att.entry(b).fallthrough);
 }
 
-#if TEPIC_HOTSTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 /**
  * The hot-stats site ledger against the architectural counters: the
  * per-site direction totals tile the fetch count (one prediction per
@@ -500,7 +500,7 @@ TEST(FetchSim, SiteCounterDeltasTileMispredicts)
               stats.predictionsWrong + hs.unconsumedMispredicts);
     EXPECT_GT(site_mispredicts, 0u);  // the if() ping-pongs
 }
-#endif // TEPIC_HOTSTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 TEST(FetchSim, InvariantsOnRealWorkload)
 {

@@ -318,7 +318,7 @@ TEST_P(FuzzCacheTiling, ThreeCTilesUnderRandomGeometries)
         const auto stats = tepic::fetch::simulateFetch(
             image, compiled.program, emu.trace, config);
 
-#if TEPIC_CACHESTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
         const auto &cs = stats.cacheStats;
         ASSERT_TRUE(cs.recorded);
         cs.assertTiling();

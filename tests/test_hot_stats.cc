@@ -31,7 +31,7 @@ using fetch::HotStats;
 using fetch::HotStatsConfig;
 using fetch::SchemeClass;
 
-#if TEPIC_HOTSTATS_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 using fetch::HotStatsRecorder;
 
@@ -381,7 +381,7 @@ TEST(HotReport, DisabledSessionRecordsNothing)
     EXPECT_TRUE(doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_HOTSTATS_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 // ---------------------------------------------------------------------------
 // Unconditional: the report stays a valid document in disabled

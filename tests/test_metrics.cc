@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -208,6 +209,15 @@ TEST(Metrics, WriteJsonFile)
     const auto doc = tepic::testjson::parse(buffer.str());
     EXPECT_EQ(doc.at("counters").at("hits").number, 7.0);
     std::remove(path.c_str());
+}
+
+TEST(Metrics, WriteJsonFileReportsFullDevice)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    MetricsRegistry m;
+    m.addCounter("hits", 7);
+    EXPECT_FALSE(m.writeJsonFile("/dev/full"));
 }
 
 // --- Histogram merge semantics (the registry's reduction primitive)

@@ -69,7 +69,7 @@ TEST(ProfilerPhaseNames, CoverTheClosedEnum)
     }
 }
 
-#if TEPIC_PROFILING_ENABLED
+#if TEPIC_TRACING_ENABLED
 
 TEST(Profiler, ScopeChargesItsPhase)
 {
@@ -229,7 +229,7 @@ TEST(Profiler, SamplingProducesCollapsedStacks)
     }
 }
 
-#else // !TEPIC_PROFILING_ENABLED
+#else // !TEPIC_TRACING_ENABLED
 
 TEST(ProfilerDisabled, ScopeIsAnEmptyClass)
 {
@@ -256,6 +256,6 @@ TEST(ProfilerDisabled, ReportIsStubButValid)
     EXPECT_DOUBLE_EQ(doc.at("work").at("ops_encoded").number, 7.0);
 }
 
-#endif // TEPIC_PROFILING_ENABLED
+#endif // TEPIC_TRACING_ENABLED
 
 } // namespace

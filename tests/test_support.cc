@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the support substrate: bit streams, statistics,
- * text tables and the deterministic RNG.
+ * text tables, the text-file writer and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "support/bitstream.hh"
 #include "support/keys.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
+#include "support/text_file.hh"
 
 namespace {
 
@@ -225,6 +231,36 @@ TEST(TextTable, RowArityChecked)
     tepic::support::TextTable t;
     t.setHeader({"a", "b"});
     EXPECT_ANY_THROW(t.addRow({"only-one"}));
+}
+
+// --- writeTextFile: the one writer behind every report output.
+
+TEST(TextFile, RoundTripsBytes)
+{
+    const std::string path = "test_support_text_file.txt";
+    const std::string text = "{\n  \"k\": 1\n}\n\ttail";
+    ASSERT_TRUE(tepic::support::writeTextFile(path, text, "x"));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    EXPECT_EQ(buffer.str(), text);
+    std::remove(path.c_str());
+}
+
+// A small buffered write to a full device only fails at fclose();
+// the writer must still report it.
+TEST(TextFile, FullDeviceFails)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    EXPECT_FALSE(tepic::support::writeTextFile("/dev/full", "small\n",
+                                               "x"));
+}
+
+TEST(TextFile, UnopenablePathFails)
+{
+    EXPECT_FALSE(tepic::support::writeTextFile(
+        "no-such-dir/sub/out.txt", "x", "x"));
 }
 
 } // namespace

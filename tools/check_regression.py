@@ -29,25 +29,13 @@ Only the standard library is used.
 """
 
 import argparse
-import json
 import os
 import sys
 
+from tepic_common import usage_error, load
+
 DETERMINISTIC_EXACT = ("counters", "histograms")
 GAUGE_EPSILON = 1e-9
-
-
-def usage_error(msg):
-    print(f"check_regression: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 def gauges_equal(a, b):

@@ -40,8 +40,11 @@ mismatch), 2 = usage/schema error. Only the standard library is used.
 """
 
 import argparse
-import json
 import sys
+
+from tepic_common import (usage_error, invariant_error, load, write_file,
+                          check_keys, check_nonneg_int, compare_structure,
+                          fmt_pct, svg_escape)
 
 CACHE_SCHEMA = "tepic-cache-v1"
 
@@ -62,39 +65,7 @@ HEAT_LOW = (247, 251, 255)
 HEAT_HIGH = (8, 48, 107)
 
 
-def usage_error(msg):
-    print(f"tepic_cache: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_cache: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- validation ------------------------------------------------------
-
-
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
 
 
 def check_hist(path, what, hist):
@@ -293,10 +264,6 @@ def validate_invariants(path, workloads):
 # --- Markdown "where did compression buy capacity?" report -----------
 
 
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
-
-
 def fmt_delta(new, old):
     d = new - old
     return f"{d:+d}"
@@ -407,11 +374,6 @@ def render_markdown(path, doc):
 # --- SVG per-set heatmap ---------------------------------------------
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def heat_color(value, peak):
     t = value / peak if peak else 0.0
     r = round(HEAT_LOW[0] + (HEAT_HIGH[0] - HEAT_LOW[0]) * t)
@@ -468,59 +430,17 @@ def render_heatmap(doc, max_width=1200):
 # --- determinism compare ---------------------------------------------
 
 
-def first_divergence(a, b, crumb):
-    """Depth-first search for the first differing JSON path."""
-    if type(a) is not type(b):
-        return crumb, f"{a!r} vs {b!r}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{crumb}.{key}", "missing on the left"
-            if key not in b:
-                return f"{crumb}.{key}", "missing on the right"
-            hit = first_divergence(a[key], b[key], f"{crumb}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return crumb, f"{len(a)} vs {len(b)} elements"
-        for i, (va, vb) in enumerate(zip(a, b)):
-            hit = first_divergence(va, vb, f"{crumb}[{i}]")
-            if hit:
-                return hit
-        return None
-    if a != b:
-        return crumb, f"{a!r} vs {b!r}"
-    return None
-
-
 def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        n = sum(len(s) for s in a["structure"]["workloads"].values())
-        print(f"tepic_cache: {path_a} and {path_b} have identical "
-              f"structure ({n} workload/scheme records)")
-        return
-    hit = first_divergence(a["structure"], b["structure"],
-                           "structure")
-    where, detail = hit if hit else ("structure", "unknown")
-    invariant_error(
-        f"{path_a} and {path_b} disagree at {where}: {detail} — "
-        f"every CACHE counter must be identical for any --jobs value")
+    compare_structure(
+        path_a, path_b,
+        lambda path, doc: validate_invariants(
+            path, validate_schema(path, doc)),
+        lambda s: f"{sum(len(w) for w in s['workloads'].values())} "
+                  f"workload/scheme records",
+        "CACHE counter")
 
 
 # --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
 
 
 def summarize(path, workloads):

@@ -42,6 +42,9 @@ import argparse
 import json
 import sys
 
+from tepic_common import (usage_error, invariant_error, load, write_file,
+                          check_keys, check_nonneg_int, fmt_pct, svg_escape)
+
 SCHED_SCHEMA = "tepic-sched-v1"
 
 STRUCT_TASK_KEYS = ("id", "label", "kind", "workload", "scheme",
@@ -64,40 +67,7 @@ KIND_COLORS = {
 DEFAULT_COLOR = "#999999"
 
 
-def usage_error(msg):
-    print(f"tepic_critpath: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_critpath: invariant violated: {msg}",
-          file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- validation ------------------------------------------------------
-
-
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
 
 
 def validate_schema(path, doc):
@@ -281,10 +251,6 @@ def fmt_ms(ns):
     return f"{ns / 1e6:.2f}"
 
 
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
-
-
 def render_markdown(path, doc):
     structure, timing = doc["structure"], doc["timing"]
     tasks = structure["tasks"]
@@ -367,11 +333,6 @@ def render_markdown(path, doc):
 
 
 # --- SVG Gantt -------------------------------------------------------
-
-
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 def render_gantt(doc, width=1200, row_height=24):
@@ -466,14 +427,6 @@ def compare(path_a, path_b):
 
 
 # --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
 
 
 def main(argv):

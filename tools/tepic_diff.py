@@ -43,22 +43,11 @@ import json
 import os
 import sys
 
+from tepic_common import usage_error, load, write_file
+
 SIZE_SCHEMA = "tepic-size-v1"
 METRICS_SCHEMA = "tepic-metrics-v1"
 GAUGE_EPSILON = 1e-9
-
-
-def usage_error(msg):
-    print(f"tepic_diff: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 # --- flattening ------------------------------------------------------
@@ -445,11 +434,7 @@ def main(argv):
                  f"snapshot pair(s).")
     report = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(report)
-        except OSError as e:
-            usage_error(f"{args.out}: {e}")
+        write_file(args.out, report)
     else:
         sys.stdout.write(report)
 

@@ -34,31 +34,15 @@ violation (e.g. phases don't tile the total, --compare mismatch),
 """
 
 import argparse
-import json
 import sys
+
+from tepic_common import (usage_error, invariant_error, load, write_file,
+                          key_diff, fmt_pct, svg_escape)
 
 PROF_SCHEMA = "tepic-prof-v1"
 COUNTER_KEYS = ("cycles", "instructions", "cache_misses",
                 "branch_misses", "cpu_ns")
 SOURCES = ("perf_event", "thread_cputime", "disabled")
-
-
-def usage_error(msg):
-    print(f"tepic_profile: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_profile: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 # --- validation ------------------------------------------------------
@@ -140,10 +124,6 @@ def validate(path, doc):
 
 def fmt_count(value):
     return f"{value:,}"
-
-
-def fmt_pct(num, den):
-    return f"{100.0 * num / den:.1f}%" if den else "-"
 
 
 def render_markdown(path, doc, notes):
@@ -267,11 +247,6 @@ def frame_color(name, depth):
     return f"rgb({min(r, 255)},{min(g, 255)},{b})"
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def render_flamegraph(root, title, width=1200, row_height=16):
     """Self-contained SVG; x in sample-proportional coordinates."""
     rects = []
@@ -336,24 +311,19 @@ def compare(path_a, path_b):
     problems = []
     if set(a["phases"]) != set(b["phases"]):
         problems.append(
-            f"phase key sets differ: only in {path_a}: "
-            f"{sorted(set(a['phases']) - set(b['phases']))}; only in "
-            f"{path_b}: {sorted(set(b['phases']) - set(a['phases']))}")
+            "phase key sets differ: " +
+            key_diff(path_a, a["phases"], path_b, b["phases"],
+                     changed=False))
     if a["work"] != b["work"]:
-        only_a = set(a["work"]) - set(b["work"])
-        only_b = set(b["work"]) - set(a["work"])
-        diff = {k for k in set(a["work"]) & set(b["work"])
-                if a["work"][k] != b["work"][k]}
         problems.append(
-            f"work counters differ (these are deterministic by "
-            f"contract): only in {path_a}: {sorted(only_a)}; only in "
-            f"{path_b}: {sorted(only_b)}; changed: {sorted(diff)}")
+            "work counters differ (these are deterministic by "
+            "contract): " +
+            key_diff(path_a, a["work"], path_b, b["work"]))
     if set(a["throughput"]) != set(b["throughput"]):
         problems.append(
-            f"throughput gauge key sets differ: only in {path_a}: "
-            f"{sorted(set(a['throughput']) - set(b['throughput']))}; "
-            f"only in {path_b}: "
-            f"{sorted(set(b['throughput']) - set(a['throughput']))}")
+            "throughput gauge key sets differ: " +
+            key_diff(path_a, a["throughput"], path_b, b["throughput"],
+                     changed=False))
     if problems:
         for p in problems:
             print(f"tepic_profile: {p}", file=sys.stderr)
@@ -406,12 +376,8 @@ def main(argv):
         if not stacks:
             print(f"tepic_profile: {args.flamegraph}: no samples "
                   f"(empty flamegraph written)", file=sys.stderr)
-        svg = render_flamegraph(build_tree(stacks), args.title)
-        try:
-            with open(args.svg, "w") as f:
-                f.write(svg)
-        except OSError as e:
-            usage_error(f"{args.svg}: {e}")
+        write_file(args.svg,
+                   render_flamegraph(build_tree(stacks), args.title))
         print(f"tepic_profile: wrote {args.svg} "
               f"({len(stacks)} stacks, {total} samples)")
         if not args.reports:
@@ -429,12 +395,7 @@ def main(argv):
         for note in notes:
             print(f"tepic_profile:   note: {note}")
         if i == 0 and args.md:
-            report = render_markdown(path, doc, notes)
-            try:
-                with open(args.md, "w") as f:
-                    f.write(report)
-            except OSError as e:
-                usage_error(f"{args.md}: {e}")
+            write_file(args.md, render_markdown(path, doc, notes))
             print(f"tepic_profile: wrote {args.md}")
 
 

@@ -39,9 +39,10 @@ error. Only the standard library is used.
 
 import argparse
 import html
-import json
 import os
 import sys
+
+from tepic_common import usage_error, load, write_file
 
 # (gauge, label, repo-expected, paper reference or None, band)
 # band = allowed relative deviation from repo-expected for "pass".
@@ -96,19 +97,6 @@ HEADLINES = [
 
 STALL_CAUSES = ("mispredict", "l1_refill", "decode_stage", "atb_miss")
 SCHEMES = ("base", "tailored", "compressed")
-
-
-def usage_error(msg):
-    print(f"tepic_report: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
 
 
 def section(doc, name, source, notes):
@@ -352,14 +340,12 @@ def main(argv):
                                            args.input_dir)
 
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(markdown_text)
+        write_file(args.output, markdown_text)
         print(f"tepic_report: wrote {args.output} ({warns} warns)")
     else:
         print(markdown_text)
     if args.html:
-        with open(args.html, "w") as f:
-            f.write(render_html(markdown_text))
+        write_file(args.html, render_html(markdown_text))
         print(f"tepic_report: wrote {args.html}")
 
 

@@ -246,8 +246,9 @@ main(int argc, char **argv)
     core::sweep::exportMetricsTo(support::MetricsRegistry::global(),
                                  result);
     engine.exportMetrics(support::MetricsRegistry::global());
-    if (!metricsPath.empty())
-        support::MetricsRegistry::global().writeJsonFile(metricsPath);
+    if (!metricsPath.empty() &&
+        !support::MetricsRegistry::global().writeJsonFile(metricsPath))
+        return 1;
 
     std::printf("tepic-sweep: %zu configs, %zu points, front %zu "
                 "(%llu ms, jobs %u) -> %s\n",

@@ -43,8 +43,11 @@ mismatch), 2 = usage/schema error. Only the standard library is used.
 """
 
 import argparse
-import json
 import sys
+
+from tepic_common import (usage_error, invariant_error, load, write_file,
+                          check_keys, check_nonneg_int, compare_structure,
+                          svg_escape)
 
 SWEEP_SCHEMA = "tepic-sweep-v1"
 
@@ -80,24 +83,6 @@ SCHEME_COLORS = {"base": "#7f7f7f", "compressed": "#1f77b4",
                  "tailored": "#d62728"}
 
 
-def usage_error(msg):
-    print(f"tepic_sweep: error: {msg}", file=sys.stderr)
-    sys.exit(2)
-
-
-def invariant_error(msg):
-    print(f"tepic_sweep: invariant violated: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        usage_error(f"{path}: {e}")
-
-
 # --- dominance (mirror of support/sweep.cc) --------------------------
 
 
@@ -126,20 +111,6 @@ def config_key(config):
 
 
 # --- validation ------------------------------------------------------
-
-
-def check_keys(path, what, obj, keys):
-    if not isinstance(obj, dict):
-        usage_error(f"{path}: {what} is not an object")
-    for key in keys:
-        if key not in obj:
-            usage_error(f"{path}: {what} is missing '{key}'")
-
-
-def check_nonneg_int(path, what, value):
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < 0:
-        usage_error(f"{path}: {what} is not a non-negative integer")
 
 
 def validate_schema(path, doc):
@@ -453,11 +424,6 @@ def render_markdown(path, doc):
 # --- SVG Pareto scatter panels ---------------------------------------
 
 
-def svg_escape(text):
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
-
-
 def render_scatter(doc):
     """One panel per objective pair: every aggregate as a gray dot,
     front members colored by scheme."""
@@ -534,60 +500,16 @@ def render_scatter(doc):
 # --- determinism compare ---------------------------------------------
 
 
-def first_divergence(a, b, crumb):
-    """Depth-first search for the first differing JSON path."""
-    if type(a) is not type(b):
-        return crumb, f"{a!r} vs {b!r}"
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return f"{crumb}.{key}", "missing on the left"
-            if key not in b:
-                return f"{crumb}.{key}", "missing on the right"
-            hit = first_divergence(a[key], b[key], f"{crumb}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(a, list):
-        if len(a) != len(b):
-            return crumb, f"{len(a)} vs {len(b)} elements"
-        for i, (va, vb) in enumerate(zip(a, b)):
-            hit = first_divergence(va, vb, f"{crumb}[{i}]")
-            if hit:
-                return hit
-        return None
-    if a != b:
-        return crumb, f"{a!r} vs {b!r}"
-    return None
-
-
 def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
-    for path, doc in ((path_a, a), (path_b, b)):
-        validate_invariants(path, validate_schema(path, doc))
-    if a["structure"] == b["structure"]:
-        n = len(a["structure"]["points"])
-        print(f"tepic_sweep: {path_a} and {path_b} have identical "
-              f"structure ({n} points, "
-              f"front {len(a['structure']['front'])})")
-        return
-    hit = first_divergence(a["structure"], b["structure"],
-                           "structure")
-    where, detail = hit if hit else ("structure", "unknown")
-    invariant_error(
-        f"{path_a} and {path_b} disagree at {where}: {detail} — "
-        f"every sweep record must be identical for any --jobs value")
+    compare_structure(
+        path_a, path_b,
+        lambda path, doc: validate_invariants(
+            path, validate_schema(path, doc)),
+        lambda s: f"{len(s['points'])} points, front {len(s['front'])}",
+        "sweep record")
 
 
 # --- entry point -----------------------------------------------------
-
-
-def write_file(path, text):
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as e:
-        usage_error(f"{path}: {e}")
 
 
 def summarize(path, structure):

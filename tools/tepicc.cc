@@ -19,7 +19,8 @@
  * Perfetto), --metrics=<file> (metrics registry JSON),
  * --size-report=<file> (size-provenance treemap JSON, schema
  * tepic-size-v1, for commands that build images: compress, fetch,
- * verify, verilog).
+ * verify, verilog). A requested output that cannot be written warns
+ * and makes tepicc exit 1.
  */
 
 #include <cstdio>
@@ -423,10 +424,14 @@ dispatch(const std::string &cmd, const Options &opts)
     return usage();
 }
 
-/** Flush --trace=/--metrics=/--size-report= outputs after the run. */
-void
+/**
+ * Write every requested observability output after the run. Returns
+ * false if any of them could not be written (each failure warns).
+ */
+bool
 finalizeObservability(const Options &opts)
 {
+    bool ok = true;
     if (!opts.sizeReportPath.empty()) {
         if (g_lastBuild.artifacts == nullptr) {
             TEPIC_WARN("--size-report= ignored: this command builds "
@@ -434,40 +439,38 @@ finalizeObservability(const Options &opts)
                        "verilog)");
         } else {
             core::recordSizeMetrics(*g_lastBuild.artifacts);
-            core::writeSizeReport(
+            ok &= core::writeSizeReport(
                 opts.sizeReportPath, "tepicc",
                 {core::SizeReportEntry{g_lastBuild.name,
                                        g_lastBuild.artifacts.get()}});
         }
     }
-    if (!opts.schedReportPath.empty()) {
-        support::sched::writeReport(opts.schedReportPath, "tepicc");
-    }
-    if (!opts.cacheReportPath.empty()) {
-        fetch::cachestats::writeReport(opts.cacheReportPath,
-                                       "tepicc");
-    }
-    if (!opts.hotReportPath.empty()) {
-        fetch::hotstats::writeReport(opts.hotReportPath, "tepicc");
-    }
+    if (!opts.schedReportPath.empty())
+        ok &= support::sched::writeReport(opts.schedReportPath, "tepicc");
+    if (!opts.cacheReportPath.empty())
+        ok &= fetch::cachestats::writeReport(opts.cacheReportPath,
+                                             "tepicc");
+    if (!opts.hotReportPath.empty())
+        ok &= fetch::hotstats::writeReport(opts.hotReportPath, "tepicc");
     if (!opts.metricsPath.empty() || !opts.profReportPath.empty()) {
         auto &metrics = support::MetricsRegistry::global();
         core::ArtifactEngine::global().exportMetrics(metrics);
         support::prof::exportMetricsTo(metrics);
         support::sched::exportMetricsTo(metrics);
         if (!opts.profReportPath.empty()) {
-            support::prof::writeReport(opts.profReportPath, "tepicc",
-                                       metrics);
+            ok &= support::prof::writeReport(opts.profReportPath,
+                                             "tepicc", metrics);
         }
         if (!opts.metricsPath.empty())
-            metrics.writeJsonFile(opts.metricsPath);
+            ok &= metrics.writeJsonFile(opts.metricsPath);
     }
     if (!opts.profCollapsePath.empty()) {
         support::prof::stopSampling();
-        support::prof::writeCollapsed(opts.profCollapsePath);
+        ok &= support::prof::writeCollapsed(opts.profCollapsePath);
     }
     if (!opts.tracePath.empty())
-        support::trace::stop();
+        ok &= support::trace::stop();
+    return ok;
 }
 
 } // namespace
@@ -506,6 +509,7 @@ main(int argc, char **argv)
     if (!opts.tracePath.empty())
         support::trace::start(opts.tracePath);
     const int status = dispatch(cmd, opts);
-    finalizeObservability(opts);
+    if (!finalizeObservability(opts))
+        return 1;
     return status;
 }

@@ -32,8 +32,9 @@ Exits non-zero with a diagnostic on the first violation. Only the
 standard library is used.
 """
 
-import json
 import sys
+
+from tepic_common import die, key_diff, load
 
 DETERMINISTIC_SECTIONS = ("counters", "gauges", "histograms")
 ALL_SECTIONS = DETERMINISTIC_SECTIONS + ("timings", "runtime")
@@ -41,16 +42,7 @@ SUPPORTED_SCHEMAS = ("tepic-metrics-v1",)
 
 
 def fail(msg):
-    print(f"validate_metrics: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
+    die(msg, 1)
 
 
 def check_metrics(path, doc):
@@ -132,21 +124,15 @@ def comparable_section(doc, section):
 
 
 def compare(path_a, path_b):
-    a, b = load(path_a), load(path_b)
+    a, b = load(path_a, fail), load(path_b, fail)
     check_metrics(path_a, a)
     check_metrics(path_b, b)
     for section in DETERMINISTIC_SECTIONS:
         sec_a = comparable_section(a, section)
         sec_b = comparable_section(b, section)
         if sec_a != sec_b:
-            only_a = set(sec_a) - set(sec_b)
-            only_b = set(sec_b) - set(sec_a)
-            diff = {k for k in set(sec_a) & set(sec_b)
-                    if sec_a[k] != sec_b[k]}
-            fail(f"deterministic section '{section}' differs: "
-                 f"only in {path_a}: {sorted(only_a)}; "
-                 f"only in {path_b}: {sorted(only_b)}; "
-                 f"changed: {sorted(diff)}")
+            fail(f"deterministic section '{section}' differs: " +
+                 key_diff(path_a, sec_a, path_b, sec_b))
     print(f"validate_metrics: deterministic sections of {path_a} and "
           f"{path_b} are identical")
 
@@ -161,12 +147,12 @@ def main(argv):
         if len(argv) < 2:
             fail("--trace takes at least one file")
         for path in argv[1:]:
-            check_trace(path, load(path))
+            check_trace(path, load(path, fail))
         return
     if not argv:
         fail("no files given (see --help in the module docstring)")
     for path in argv:
-        check_metrics(path, load(path))
+        check_metrics(path, load(path, fail))
 
 
 if __name__ == "__main__":
