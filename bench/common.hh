@@ -277,11 +277,13 @@ buildAllArtifacts(const BenchOptions &options)
  * for, and BENCH_fetch.json whenever the binary ran fetch
  * simulations. Must run before google-benchmark's timed loops — they
  * re-run fetch sims with machine-dependent iteration counts, which
- * would poison the deterministic counter section.
+ * would poison the deterministic counter section. Returns whether
+ * every report was written (each failed write already warned).
  */
-inline void
+inline bool
 reportBenchSummary(const BenchOptions &options)
 {
+    bool ok = true;
     auto &metrics = support::MetricsRegistry::global();
     benchEngine().exportMetrics(metrics);
 
@@ -300,9 +302,12 @@ reportBenchSummary(const BenchOptions &options)
     if (!size_entries.empty()) {
         const std::string size_json =
             "SIZE_" + options.benchName + ".json";
-        core::writeSizeReport(size_json, options.benchName,
-                              size_entries);
-        TEPIC_INFORM("[bench] wrote size report to ", size_json);
+        if (core::writeSizeReport(size_json, options.benchName,
+                                  size_entries)) {
+            TEPIC_INFORM("[bench] wrote size report to ", size_json);
+        } else {
+            ok = false;
+        }
     }
 
     const auto stats = benchEngine().stats();
@@ -324,6 +329,8 @@ reportBenchSummary(const BenchOptions &options)
     if (support::prof::writeReport(prof_json, options.benchName,
                                    metrics)) {
         TEPIC_INFORM("[bench] wrote profile report to ", prof_json);
+    } else {
+        ok = false;
     }
 
     // Scheduling observability: fold the exact-gated sched.* counters
@@ -335,6 +342,8 @@ reportBenchSummary(const BenchOptions &options)
         "SCHED_" + options.benchName + ".json";
     if (support::sched::writeReport(sched_json, options.benchName)) {
         TEPIC_INFORM("[bench] wrote sched report to ", sched_json);
+    } else {
+        ok = false;
     }
 
     // Cache-behavior observability: write the per-binary
@@ -348,6 +357,8 @@ reportBenchSummary(const BenchOptions &options)
     if (fetch::cachestats::writeReport(cache_json,
                                        options.benchName)) {
         TEPIC_INFORM("[bench] wrote cache report to ", cache_json);
+    } else {
+        ok = false;
     }
     fetch::cachestats::endSession();
 
@@ -358,24 +369,29 @@ reportBenchSummary(const BenchOptions &options)
     const std::string hot_json = "HOT_" + options.benchName + ".json";
     if (fetch::hotstats::writeReport(hot_json, options.benchName)) {
         TEPIC_INFORM("[bench] wrote hot report to ", hot_json);
+    } else {
+        ok = false;
     }
     fetch::hotstats::endSession();
 
-    if (!options.metricsPath.empty()) {
-        metrics.writeJsonFile(options.metricsPath);
-        TEPIC_INFORM("[bench] wrote metrics to ", options.metricsPath);
+    // The metrics snapshots: `--metrics=` if asked for, then the
+    // canonical per-binary snapshot (the regression-gate baseline of
+    // tools/check_regression.py and the fidelity report of
+    // tools/tepic_report.py key off its name), then BENCH_fetch.json
+    // whenever the binary ran fetch simulations.
+    std::vector<std::string> metric_paths;
+    if (!options.metricsPath.empty())
+        metric_paths.push_back(options.metricsPath);
+    metric_paths.push_back("BENCH_" + options.benchName + ".json");
+    if (metrics.hasCounterWithPrefix("fetch."))
+        metric_paths.push_back("BENCH_fetch.json");
+    for (const std::string &path : metric_paths) {
+        if (metrics.writeJsonFile(path))
+            TEPIC_INFORM("[bench] wrote metrics to ", path);
+        else
+            ok = false;
     }
-    // Canonical per-binary snapshot: the regression-gate baseline
-    // (tools/check_regression.py) and fidelity report
-    // (tools/tepic_report.py) key off this name.
-    const std::string bench_json =
-        "BENCH_" + options.benchName + ".json";
-    metrics.writeJsonFile(bench_json);
-    TEPIC_INFORM("[bench] wrote bench metrics to ", bench_json);
-    if (metrics.hasCounterWithPrefix("fetch.")) {
-        metrics.writeJsonFile("BENCH_fetch.json");
-        TEPIC_INFORM("[bench] wrote fetch metrics to BENCH_fetch.json");
-    }
+    return ok;
 }
 
 /** Artefacts for every selected workload, in suite order. */
@@ -401,7 +417,8 @@ findArtifacts(const std::string &name)
 
 /**
  * Standard bench main: parse the shared CLI layer, build the
- * requested artefacts, print the table, then run timings.
+ * requested artefacts, print the table, then run timings. Exits 1
+ * when any requested or canonical report could not be written.
  */
 #define TEPIC_BENCH_MAIN(print_fn, default_request)                    \
     int                                                                \
@@ -419,17 +436,19 @@ findArtifacts(const std::string &name)
             ::tepic::support::trace::start(bench_options.tracePath);   \
         ::tepic::bench::buildAllArtifacts(bench_options);              \
         print_fn();                                                    \
-        ::tepic::bench::reportBenchSummary(bench_options);             \
+        bool written =                                                 \
+            ::tepic::bench::reportBenchSummary(bench_options);         \
         ::benchmark::Initialize(&argc, argv);                          \
         ::benchmark::RunSpecifiedBenchmarks();                         \
         if (!bench_options.tracePath.empty())                          \
-            ::tepic::support::trace::stop();                           \
+            written = ::tepic::support::trace::stop() && written;      \
         if (!bench_options.profCollapsePath.empty()) {                 \
             ::tepic::support::prof::stopSampling();                    \
-            ::tepic::support::prof::writeCollapsed(                    \
-                bench_options.profCollapsePath);                       \
+            written = ::tepic::support::prof::writeCollapsed(          \
+                          bench_options.profCollapsePath) &&           \
+                      written;                                         \
         }                                                              \
-        return 0;                                                      \
+        return written ? 0 : 1;                                        \
     }
 
 } // namespace tepic::bench

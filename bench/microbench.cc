@@ -287,46 +287,45 @@ main(int argc, char **argv)
     if (!options.profCollapsePath.empty())
         support::prof::startSampling();
     recordMicroSentinels();
+    // Every report write must succeed, as in TEPIC_BENCH_MAIN: a
+    // failed one has warned and makes the binary exit 1.
+    bool written = true;
     auto &metrics = support::MetricsRegistry::global();
     support::prof::exportMetricsTo(metrics);
     const std::string prof_json =
         "PROF_" + options.benchName + ".json";
-    if (support::prof::writeReport(prof_json, options.benchName,
-                                   metrics)) {
-        TEPIC_INFORM("[bench] wrote profile report to ", prof_json);
-    }
+    written = support::prof::writeReport(prof_json, options.benchName,
+                                         metrics) &&
+              written;
     support::sched::exportMetricsTo(metrics);
     const std::string sched_json =
         "SCHED_" + options.benchName + ".json";
-    if (support::sched::writeReport(sched_json,
-                                    options.benchName)) {
-        TEPIC_INFORM("[bench] wrote sched report to ", sched_json);
-    }
+    written = support::sched::writeReport(sched_json,
+                                          options.benchName) &&
+              written;
     const std::string cache_json =
         "CACHE_" + options.benchName + ".json";
-    if (fetch::cachestats::writeReport(cache_json,
-                                       options.benchName)) {
-        TEPIC_INFORM("[bench] wrote cache report to ", cache_json);
-    }
+    written = fetch::cachestats::writeReport(cache_json,
+                                             options.benchName) &&
+              written;
     fetch::cachestats::endSession();
     const std::string hot_json =
         "HOT_" + options.benchName + ".json";
-    if (fetch::hotstats::writeReport(hot_json,
-                                     options.benchName)) {
-        TEPIC_INFORM("[bench] wrote hot report to ", hot_json);
-    }
+    written = fetch::hotstats::writeReport(hot_json,
+                                           options.benchName) &&
+              written;
     fetch::hotstats::endSession();
     if (!options.metricsPath.empty())
-        metrics.writeJsonFile(options.metricsPath);
+        written = metrics.writeJsonFile(options.metricsPath) && written;
     const std::string bench_json =
         "BENCH_" + options.benchName + ".json";
-    metrics.writeJsonFile(bench_json);
-    TEPIC_INFORM("[bench] wrote bench metrics to ", bench_json);
+    written = metrics.writeJsonFile(bench_json) && written;
     ::benchmark::Initialize(&argc, argv);
     ::benchmark::RunSpecifiedBenchmarks();
     if (!options.profCollapsePath.empty()) {
         support::prof::stopSampling();
-        support::prof::writeCollapsed(options.profCollapsePath);
+        written = support::prof::writeCollapsed(options.profCollapsePath) &&
+                  written;
     }
-    return 0;
+    return written ? 0 : 1;
 }

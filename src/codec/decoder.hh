@@ -1,6 +1,6 @@
 /**
  * @file
- * The unified decode interface and the decoded-block cache.
+ * The unified decode interface.
  *
  * Every encoding scheme in the study (baseline 40-bit, the Huffman
  * alphabets, the tailored ISA, the dictionary scheme) decodes a block
@@ -13,19 +13,12 @@
  * factories.
  *
  * This header is deliberately header-only and depends on nothing
- * above src/isa, so the fetch simulator can hold a DecodedBlockCache
- * pointer without a link-time dependency on the scheme libraries.
+ * above src/isa.
  *
- * DecodedBlockCache is the host-side decode accelerator of the
- * "raw speed" roadmap era: static code means a block's decoded form
- * never changes during a simulation, so each block is decoded once on
- * first touch and replayed from the cache for the other ~10^5
- * dynamic executions. The cache is keyed by construction: one cache
- * wraps one Decoder, which fingerprints (scheme, image content), and
- * block ids index it directly. It cannot perturb architectural
- * metrics — cycle accounting, L0/ATB state and bus bit-flips are
- * computed from the image metadata and trace, never from the decoded
- * operations (DESIGN.md §10).
+ * The fetch simulator never decodes: cycle accounting, L0/ATB state
+ * and bus bit flips are computed from the image metadata and the
+ * trace (DESIGN.md §10). Decoders serve the round-trip checks, the
+ * tools and the examples.
  */
 
 #ifndef TEPIC_CODEC_DECODER_HH
@@ -38,7 +31,6 @@
 #include "isa/image.hh"
 #include "isa/operation.hh"
 #include "isa/program.hh"
-#include "support/logging.hh"
 
 namespace tepic::codec {
 
@@ -107,70 +99,6 @@ class Decoder
             decodeBlockInto(isa::BlockId(id), blocks[id]);
         return blocks;
     }
-};
-
-/**
- * Decode-once-replay-forever cache over one Decoder.
- *
- * ops(id) decodes the block on first touch and returns a reference
- * that stays valid for the cache's lifetime (storage is sized at
- * construction; entries are never evicted — static code is small).
- * Hit/miss/ops-decoded counters are deterministic given the access
- * sequence and are exported as the codec.* metrics.
- */
-class DecodedBlockCache
-{
-  public:
-    explicit DecodedBlockCache(const Decoder &decoder)
-        : decoder_(&decoder), fingerprint_(decoder.fingerprint()),
-          blocks_(decoder.blockCount()),
-          decoded_(decoder.blockCount(), 0)
-    {
-    }
-
-    /** Decoded operations of @p id; decodes on the first touch. */
-    const std::vector<isa::Operation> &
-    ops(isa::BlockId id)
-    {
-        TEPIC_ASSERT(id < blocks_.size(),
-                     "block id out of range: ", id);
-        if (decoded_[id]) {
-            ++hits_;
-            return blocks_[id];
-        }
-        ++misses_;
-        decoder_->decodeBlockInto(id, blocks_[id]);
-        opsDecoded_ += blocks_[id].size();
-        decoded_[id] = 1;
-        return blocks_[id];
-    }
-
-    /** The decoder this cache replays (identity == cache key). */
-    const Decoder &decoder() const { return *decoder_; }
-
-    /** Cached copy of decoder().fingerprint(). */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
-    /** Accesses served from already-decoded blocks. */
-    std::uint64_t hits() const { return hits_; }
-
-    /** First-touch accesses that ran the scheme decoder. */
-    std::uint64_t misses() const { return misses_; }
-
-    /** Operations decoded across all first touches. */
-    std::uint64_t opsDecoded() const { return opsDecoded_; }
-
-    /** Static block capacity (== decoder().blockCount()). */
-    std::size_t size() const { return blocks_.size(); }
-
-  private:
-    const Decoder *decoder_;
-    std::uint64_t fingerprint_;
-    std::vector<std::vector<isa::Operation>> blocks_;
-    std::vector<std::uint8_t> decoded_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t opsDecoded_ = 0;
 };
 
 } // namespace tepic::codec

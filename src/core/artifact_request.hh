@@ -9,8 +9,8 @@
  * emulator keeps the dynamic block trace (required by the fetch and
  * power simulations, dead weight for pure size studies), and
  * kDecoder builds the codec::Decoder for each of the three fetch
- * organisations (implying their images) so runFetch consumers get
- * memoized decoders instead of constructing their own.
+ * organisations (implying their images), memoized for consumers that
+ * decode blocks.
  */
 
 #ifndef TEPIC_CORE_ARTIFACT_REQUEST_HH

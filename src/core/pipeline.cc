@@ -338,40 +338,6 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
     if (fetch::hotstats::enabled())
         fetch_config.hotStats.enabled = true;
 
-    // Attach a decoded-block cache unless the caller brought one.
-    // Decoder construction happens here, *before* the profiled fetch
-    // window opens, so prof.fetch.<scheme>.cpu_ns measures the
-    // simulation loop only (the engine's kDecoder pre-warm makes the
-    // memoized path free; the fallback builds a local decoder).
-    std::unique_ptr<const codec::Decoder> local_decoder;
-    std::optional<codec::DecodedBlockCache> local_cache;
-    if (fetch_config.decodedBlocks == nullptr) {
-        if (artifacts.has(ArtifactKind::kDecoder)) {
-            local_cache.emplace(artifacts.decoder(scheme));
-        } else {
-            codec::DecoderSources sources;
-            switch (scheme) {
-              case fetch::SchemeClass::kBase:
-                sources.baseImage = &artifacts.baseImage();
-                break;
-              case fetch::SchemeClass::kCompressed:
-                sources.compressedImage = &artifacts.fullImage();
-                break;
-              case fetch::SchemeClass::kTailored:
-                sources.tailoredIsa = &artifacts.tailoredIsa();
-                sources.tailoredImage = &artifacts.tailoredImage();
-                break;
-            }
-            local_decoder = codec::makeDecoder(scheme, sources);
-            local_cache.emplace(*local_decoder);
-        }
-        fetch_config.decodedBlocks = &*local_cache;
-    }
-    codec::DecodedBlockCache &cache = *fetch_config.decodedBlocks;
-    const std::uint64_t hits_before = cache.hits();
-    const std::uint64_t misses_before = cache.misses();
-    const std::uint64_t decoded_before = cache.opsDecoded();
-
     support::prof::ProfScope prof(support::prof::Phase::kFetchSim);
     const std::uint64_t cpu_begin = support::prof::threadCpuNowNs();
     auto stats = fetch::simulateFetch(imageFor(artifacts, scheme),
@@ -427,16 +393,6 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
                  stats.blocksFetched);
     m.addRuntime("prof.fetch." + scheme_name + ".cpu_ns",
                  support::prof::threadCpuNowNs() - cpu_begin);
-    // Host-side decode cache effectiveness (deterministic: a function
-    // of the trace and the static block set — this run's deltas, so a
-    // caller-owned cache reused across runs charges each run its own
-    // accesses).
-    m.addCounter("codec." + scheme_name + ".block_cache_hits",
-                 cache.hits() - hits_before);
-    m.addCounter("codec." + scheme_name + ".block_cache_misses",
-                 cache.misses() - misses_before);
-    m.addCounter("codec." + scheme_name + ".ops_decoded",
-                 cache.opsDecoded() - decoded_before);
     return stats;
 }
 

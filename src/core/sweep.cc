@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "core/pipeline.hh"
@@ -124,9 +125,6 @@ SweepConfig::fetchConfig(bool record_3c) const
     config.predictor.kind = predictor;
     config.penalties = penaltyProfileByName(penaltyProfile).penalties;
     config.cacheStats.enabled = record_3c;
-    // The sweep consumes only the 3C split; sample the reuse stream
-    // coarsely so recording does not dominate a 500+-point grid.
-    config.cacheStats.reuseSampleEvery = 64;
     return config;
 }
 
@@ -202,16 +200,22 @@ decoderCost(const Artifacts &artifacts, fetch::SchemeClass scheme)
     TEPIC_PANIC("bad scheme class");
 }
 
+/**
+ * The back end of one (workload, config) point over its workload's
+ * batch. The 3C split comes from a bare ThreeCClassifier, not the
+ * CACHE recorder: the sweep reads nothing else of a CacheStats.
+ */
 PointRecord
 evaluatePoint(const std::string &workload, const Artifacts &artifacts,
-              const SweepConfig &config, bool record_3c)
+              const SweepConfig &config, const fetch::FetchBatch &batch,
+              std::size_t index, bool record_3c)
 {
-    const fetch::FetchConfig fetch_config =
-        config.fetchConfig(record_3c);
-    const isa::Image &image = imageFor(artifacts, config.scheme);
+    std::optional<fetch::ThreeCClassifier> three_c;
+    if (record_3c)
+        three_c.emplace(fetch::CacheConfig{config.sets, config.ways,
+                                           config.lineBytes});
     const fetch::FetchStats stats =
-        fetch::simulateFetch(image, artifacts.compiled.program,
-                             artifacts.trace(), fetch_config);
+        batch.runBackEnd(index, three_c ? &*three_c : nullptr);
 
     PointRecord rec;
     rec.workload = workload;
@@ -219,7 +223,7 @@ evaluatePoint(const std::string &workload, const Artifacts &artifacts,
     rec.key = workload + "/" + config.key();
 
     PointMetrics &m = rec.metrics;
-    m.sizeBits = image.bitSize;
+    m.sizeBits = imageFor(artifacts, config.scheme).bitSize;
     m.cycles = stats.cycles;
     m.idealCycles = stats.idealCycles;
     m.opsDelivered = stats.opsDelivered;
@@ -236,11 +240,11 @@ evaluatePoint(const std::string &workload, const Artifacts &artifacts,
     m.busBeats = stats.busBeats;
     m.bytesTransferred = stats.bytesTransferred;
     m.decoderTransistors = decoderCost(artifacts, config.scheme);
-    m.cacheRecorded = stats.cacheStats.recorded;
-    if (stats.cacheStats.recorded) {
-        m.compulsory = stats.cacheStats.compulsory;
-        m.capacity = stats.cacheStats.capacity;
-        m.conflict = stats.cacheStats.conflict;
+    m.cacheRecorded = record_3c;
+    if (three_c) {
+        m.compulsory = three_c->compulsory();
+        m.capacity = three_c->capacity();
+        m.conflict = three_c->conflict();
     }
     return rec;
 }
@@ -283,26 +287,54 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
     }
     const auto artifacts = engine.buildMany(builds);
 
-    // One slot per (workload, config); every simulation writes only
-    // its own slot, so any fan-out is bit-identical to serial.
+    // One fetch batch per workload: its configurations share every
+    // front-end pass (ATB + predictor, L0) with their key and one ATT
+    // per image, so the per-point work is the L1/bus/cycle back end.
     const std::size_t config_count = out.configs.size();
-    const std::size_t point_count =
-        config_count * options.grid.workloads.size();
+    const std::size_t workload_count = options.grid.workloads.size();
+    std::vector<fetch::FetchBatch> batches;
+    batches.reserve(workload_count);
+    std::vector<std::pair<std::size_t, std::size_t>> front_ends;
+    for (std::size_t w = 0; w < workload_count; ++w) {
+        const Artifacts &a = *artifacts[w];
+        fetch::FetchBatch &batch =
+            batches.emplace_back(a.compiled.program, a.trace());
+        for (const SweepConfig &config : out.configs)
+            batch.add(imageFor(a, config.scheme),
+                      config.fetchConfig(false));
+        for (std::size_t pass = 0; pass < batch.frontEndCount(); ++pass)
+            front_ends.emplace_back(w, pass);
+    }
+
+    // Every task writes only its own slot, so any fan-out is
+    // bit-identical to serial.
+    std::optional<support::ThreadPool> pool;
+    if (out.jobs > 1)
+        pool.emplace(out.jobs);
+    const auto fanOut = [&](std::size_t count, const auto &task) {
+        if (!pool || count <= 1) {
+            for (std::size_t i = 0; i < count; ++i)
+                task(i);
+        } else {
+            pool->parallelFor(count, task);
+        }
+    };
+
+    fanOut(front_ends.size(), [&](std::size_t i) {
+        batches[front_ends[i].first].runFrontEnd(front_ends[i].second);
+    });
+
+    // One slot per (workload, config).
+    const std::size_t point_count = config_count * workload_count;
     out.points.resize(point_count);
-    const auto evalOne = [&](std::size_t flat) {
+    fanOut(point_count, [&](std::size_t flat) {
         const std::size_t w = flat / config_count;
         const std::size_t c = flat % config_count;
         out.points[flat] =
             evaluatePoint(options.grid.workloads[w], *artifacts[w],
-                          out.configs[c], options.record3c);
-    };
-    if (out.jobs <= 1 || point_count <= 1) {
-        for (std::size_t flat = 0; flat < point_count; ++flat)
-            evalOne(flat);
-    } else {
-        support::ThreadPool pool(out.jobs);
-        pool.parallelFor(point_count, evalOne);
-    }
+                          out.configs[c], batches[w], c,
+                          options.record3c);
+    });
 
     // Aggregate per configuration across workloads (u64 sums; the
     // flat layout above makes point w of config c addressable).

@@ -8,9 +8,13 @@
  * complexity is not free, and the right scheme depends on which axis
  * the system is starved on — is a design-space claim. This driver
  * makes it observable: expand a grid (schemes x cache geometry x L0
- * capacity x ATB entries x predictor x cycle-penalty profile), run
- * fetch::simulateFetch for every (workload, configuration) point over
- * one memoized ArtifactEngine, and emit schema "tepic-sweep-v1":
+ * capacity x ATB entries x predictor x cycle-penalty profile),
+ * simulate every (workload, configuration) point over one memoized
+ * ArtifactEngine, and emit schema "tepic-sweep-v1". Each workload's
+ * points form one fetch::FetchBatch: the ATB/predictor and L0 front
+ * ends run once per key, and each point runs only its L1/bus/cycle
+ * back end (DESIGN.md §14.1). The result of every point equals a
+ * standalone fetch::simulateFetch of it (tested).
  *
  *  - structure: objectives, the grid, one record per point (sizes,
  *    cycles, exact stall tiling, decoder transistors, bus bit flips,
@@ -30,15 +34,14 @@
  * in dominance order (oriented objective tuple ascending, key as the
  * tie-break) and is invariant under point evaluation order.
  *
- * Determinism notes: every point is evaluated into a pre-assigned
- * slot (ThreadPool::parallelFor, jobs == 1 runs strictly serially on
- * the caller); simulations share nothing — no decoded-block cache is
- * attached (the sim's architectural numbers never depend on decoded
- * operations, so skipping host decode is both faster and race-free);
- * aggregation and front construction happen on the calling thread in
- * grid order. Configurations are normalized before expansion (the L0
- * capacity collapses to 0 for the schemes that have no L0 buffer) and
- * deduplicated, so no two records alias the same hardware.
+ * Determinism notes: every front-end pass and every point is
+ * evaluated into a pre-assigned slot (ThreadPool::parallelFor,
+ * jobs == 1 runs strictly serially on the caller); back ends only
+ * read the shared front-end bits; aggregation and front construction
+ * happen on the calling thread in grid order. Configurations are
+ * normalized before expansion (the L0 capacity collapses to 0 for the
+ * schemes that have no L0 buffer) and deduplicated, so no two records
+ * alias the same hardware.
  */
 
 #ifndef TEPIC_CORE_SWEEP_HH
@@ -162,7 +165,7 @@ struct PointMetrics
     std::uint64_t busBeats = 0;
     std::uint64_t bytesTransferred = 0;
     std::uint64_t decoderTransistors = 0;
-    // 3C split (cache_stats.hh); recorded == false in notrace builds.
+    // 3C split (three_c.hh); recorded == SweepOptions::record3c.
     bool cacheRecorded = false;
     std::uint64_t compulsory = 0;
     std::uint64_t capacity = 0;

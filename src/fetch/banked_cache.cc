@@ -4,7 +4,8 @@
 
 namespace tepic::fetch {
 
-BankedCache::BankedCache(const CacheConfig &config) : config_(config)
+BankedCache::BankedCache(const CacheConfig &config)
+    : config_(config), map_(config)
 {
     TEPIC_ASSERT(config.sets > 0 && config.ways > 0 &&
                  config.lineBytes > 0, "bad cache geometry");
@@ -14,7 +15,7 @@ BankedCache::BankedCache(const CacheConfig &config) : config_(config)
 bool
 BankedCache::lookupLine(std::uint64_t line_id)
 {
-    const std::size_t set = line_id % config_.sets;
+    const std::size_t set = map_.set(line_id);
     Way *base = &ways_[set * config_.ways];
     for (unsigned w = 0; w < config_.ways; ++w) {
         if (base[w].valid && base[w].tag == line_id) {
@@ -31,7 +32,7 @@ BankedCache::lookupLine(std::uint64_t line_id)
 void
 BankedCache::fillLine(std::uint64_t line_id)
 {
-    const std::size_t set = line_id % config_.sets;
+    const std::size_t set = map_.set(line_id);
     Way *base = &ways_[set * config_.ways];
     // Already resident (possible when refilling a whole block)?
     for (unsigned w = 0; w < config_.ways; ++w) {
@@ -69,9 +70,8 @@ CacheAccess
 BankedCache::accessBlock(std::uint32_t addr, std::uint32_t size)
 {
     TEPIC_ASSERT(size > 0, "zero-size block access");
-    const std::uint64_t first = addr / config_.lineBytes;
-    const std::uint64_t last = (std::uint64_t(addr) + size - 1) /
-                               config_.lineBytes;
+    const std::uint64_t first = map_.line(addr);
+    const std::uint64_t last = map_.line(std::uint64_t(addr) + size - 1);
 
     CacheAccess result;
     result.blockLines = std::uint32_t(last - first + 1);

@@ -20,6 +20,7 @@
 #ifndef TEPIC_FETCH_BANKED_CACHE_HH
 #define TEPIC_FETCH_BANKED_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +51,53 @@ struct CacheConfig
     {
         return {256, 2, 40};
     }
+};
+
+/**
+ * Byte address -> line id -> set index for one geometry. Shift and
+ * mask when the line size / set count is a power of two (every
+ * compressed and tailored geometry of the study); a plain divide
+ * otherwise (the Base image's 40-byte lines). The branch is on a
+ * per-geometry constant, so it predicts perfectly.
+ */
+class LineMap
+{
+  public:
+    explicit LineMap(const CacheConfig &config)
+        : lineBytes_(config.lineBytes), sets_(config.sets),
+          lineShift_(std::has_single_bit(config.lineBytes)
+                         ? std::countr_zero(config.lineBytes)
+                         : -1),
+          setsPow2_(std::has_single_bit(config.sets))
+    {
+    }
+
+    std::uint64_t
+    line(std::uint64_t addr) const
+    {
+        return lineShift_ >= 0 ? addr >> lineShift_ : addr / lineBytes_;
+    }
+
+    std::uint32_t
+    set(std::uint64_t line_id) const
+    {
+        return std::uint32_t(setsPow2_ ? line_id & (sets_ - 1)
+                                       : line_id % sets_);
+    }
+
+    /** Lines the byte range [addr, addr+size) spans (size > 0). */
+    std::uint32_t
+    span(std::uint32_t addr, std::uint32_t size) const
+    {
+        return std::uint32_t(line(std::uint64_t(addr) + size - 1) -
+                             line(addr) + 1);
+    }
+
+  private:
+    std::uint64_t lineBytes_;
+    std::uint64_t sets_;
+    int lineShift_;  ///< log2(lineBytes), or -1 if not a power of two
+    bool setsPow2_;
 };
 
 /** The result of one block access. */
@@ -112,6 +160,7 @@ class BankedCache
     };
 
     CacheConfig config_;
+    LineMap map_;
     std::vector<Way> ways_;  ///< sets_ x ways_, row-major
     CacheLineObserver *observer_ = nullptr;
     std::uint64_t clock_ = 0;

@@ -214,7 +214,7 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
       // Seed the position space with the shadow capacity: the
       // distinct-block count is unknown here and the tracker grows
       // itself on compaction anyway.
-      reuse_(std::size_t(cache.sets) * cache.ways)
+      threeC_(cache), reuse_(std::size_t(cache.sets) * cache.ways)
 {
     options_.heatmapEpochs = std::max(1u, options_.heatmapEpochs);
     stats_.sets = cache.sets;
@@ -231,71 +231,6 @@ CacheStatsRecorder::CacheStatsRecorder(const CacheConfig &cache,
     stats_.heatAccesses.assign(cells, 0);
     stats_.heatFills.assign(cells, 0);
     stats_.heatEvictions.assign(cells, 0);
-    shadowCapacity_ = cache.sets * cache.ways;
-}
-
-void
-CacheStatsRecorder::ensureLine(std::uint64_t lineId)
-{
-    if (lineId >= touched_.size()) {
-        touched_.resize(std::size_t(lineId) + 1, false);
-        shadow_.resize(std::size_t(lineId) + 1);
-    }
-}
-
-bool
-CacheStatsRecorder::shadowResident(std::uint64_t lineId) const
-{
-    return lineId < shadow_.size() && shadow_[lineId].resident;
-}
-
-void
-CacheStatsRecorder::shadowUnlink(std::uint32_t line)
-{
-    ShadowNode &node = shadow_[line];
-    if (node.prev != kNil)
-        shadow_[node.prev].next = node.next;
-    else
-        shadowHead_ = node.next;
-    if (node.next != kNil)
-        shadow_[node.next].prev = node.prev;
-    else
-        shadowTail_ = node.prev;
-    node.prev = node.next = kNil;
-}
-
-void
-CacheStatsRecorder::shadowPushFront(std::uint32_t line)
-{
-    ShadowNode &node = shadow_[line];
-    node.prev = kNil;
-    node.next = shadowHead_;
-    if (shadowHead_ != kNil)
-        shadow_[shadowHead_].prev = line;
-    shadowHead_ = line;
-    if (shadowTail_ == kNil)
-        shadowTail_ = line;
-}
-
-void
-CacheStatsRecorder::shadowTouch(std::uint64_t lineId)
-{
-    const auto line = std::uint32_t(lineId);
-    ShadowNode &node = shadow_[line];
-    if (node.resident) {
-        shadowUnlink(line);
-        shadowPushFront(line);
-        return;
-    }
-    if (shadowResident_ == shadowCapacity_) {
-        const std::uint32_t victim = shadowTail_;
-        shadow_[victim].resident = false;
-        shadowUnlink(victim);
-        --shadowResident_;
-    }
-    node.resident = true;
-    shadowPushFront(line);
-    ++shadowResident_;
 }
 
 void
@@ -346,39 +281,12 @@ void
 CacheStatsRecorder::onL1Block(std::uint32_t addr, std::uint32_t size,
                               bool hit)
 {
-    TEPIC_ASSERT(size > 0, "zero-size block access");
-    const std::uint64_t first = addr / stats_.lineBytes;
-    const std::uint64_t last =
-        (std::uint64_t(addr) + size - 1) / stats_.lineBytes;
-    ensureLine(last);
-
-    // Probe first (pre-access state), then update: a block's own
-    // earlier lines must not satisfy its later ones.
-    bool first_touch = false;
-    bool shadow_all = true;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        if (!touched_[line])
-            first_touch = true;
-        if (!shadow_[line].resident)
-            shadow_all = false;
-    }
-    for (std::uint64_t line = first; line <= last; ++line) {
-        touched_[line] = true;
-        shadowTouch(line);
-    }
-
+    threeC_.access(addr, size, hit);
     ++stats_.accesses;
-    if (hit) {
+    if (hit)
         ++stats_.hits;
-        return;
-    }
-    ++stats_.misses;
-    if (first_touch)
-        ++stats_.compulsory;
-    else if (shadow_all)
-        ++stats_.conflict;
     else
-        ++stats_.capacity;
+        ++stats_.misses;
 }
 
 void
@@ -419,6 +327,9 @@ CacheStats
 CacheStatsRecorder::finish()
 {
     stats_.recorded = true;
+    stats_.compulsory = threeC_.compulsory();
+    stats_.capacity = threeC_.capacity();
+    stats_.conflict = threeC_.conflict();
     stats_.residentAtEnd = stats_.lineFills - stats_.lineEvictions;
     TEPIC_ASSERT(stats_.residentAtEnd <=
                      std::uint64_t(stats_.sets) * stats_.ways,

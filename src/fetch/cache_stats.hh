@@ -10,15 +10,10 @@
  * into all three fetch paths:
  *
  *  - L1 (BankedCache): every block miss is classified as exactly one
- *    of compulsory / capacity / conflict. Compulsory = the block
- *    touches at least one never-before-seen line (first-touch
- *    tracking). Otherwise a fully-associative LRU *shadow cache* of
- *    the same total line capacity is probed: if the shadow holds the
- *    whole block the set-associative cache lost it to mapping
- *    restrictions (conflict); if even the fully-associative cache
- *    would have missed, the working set simply does not fit
- *    (capacity). Tiling invariant, TEPIC_ASSERTed in finish() and
- *    fuzz-tested like the stall taxonomy:
+ *    of compulsory / capacity / conflict by the shared
+ *    ThreeCClassifier (three_c.hh — the same classifier the sweep's
+ *    back end uses). Tiling invariant, TEPIC_ASSERTed in finish()
+ *    and fuzz-tested like the stall taxonomy:
  *
  *        misses == compulsory + capacity + conflict
  *
@@ -69,6 +64,7 @@
 
 #include "fetch/banked_cache.hh"
 #include "fetch/cycle_model.hh"
+#include "fetch/three_c.hh"
 #include "support/report_session.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -255,31 +251,8 @@ class CacheStatsRecorder final : public CacheLineObserver
     std::uint64_t expectedEvents_ = 0;
     std::uint64_t events_ = 0;
     unsigned epoch_ = 0;
-
-    // First-touch tracking + fully-associative LRU shadow over line
-    // ids, both as dense grow-on-demand arrays (line ids are bounded
-    // by image bytes / lineBytes).
-    std::vector<bool> touched_;
-    struct ShadowNode
-    {
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
-        bool resident = false;
-    };
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    std::vector<ShadowNode> shadow_;
-    std::uint32_t shadowHead_ = kNil;
-    std::uint32_t shadowTail_ = kNil;
-    std::uint32_t shadowResident_ = 0;
-    std::uint32_t shadowCapacity_ = 0;
-
+    ThreeCClassifier threeC_;
     ReuseDistanceTracker reuse_;
-
-    void ensureLine(std::uint64_t lineId);
-    bool shadowResident(std::uint64_t lineId) const;
-    void shadowTouch(std::uint64_t lineId);
-    void shadowUnlink(std::uint32_t line);
-    void shadowPushFront(std::uint32_t line);
 };
 
 #else // !TEPIC_TRACING_ENABLED — the recorder folds away.

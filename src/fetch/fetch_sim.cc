@@ -30,44 +30,117 @@ stallRateCounterName(SchemeClass scheme)
 /** Blocks between counter-track samples (power of two). */
 constexpr std::uint64_t kCounterInterval = 1024;
 
-} // namespace
-
-void
-FetchTrace::record(const FetchTraceOptions &options,
-                   const FetchTraceRecord &rec)
+AtbStream
+runAtbFrontEnd(const Att &att, const sim::BlockTrace &trace,
+               unsigned entries, const PredictorConfig &predictor)
 {
-    ++recorded_;
-    if (options.ringCapacity == 0 ||
-        records_.size() < options.ringCapacity) {
-        records_.push_back(rec);
-        return;
+    const std::uint64_t n = trace.events.size();
+    Atb atb(att, entries, predictor);
+    AtbStream out;
+    out.hit.resize(n);
+    out.correct.resize(n + 1);
+    // Prediction for the very first block: treat as correct (cold
+    // start is charged to neither scheme).
+    bool correct = true;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const sim::TraceEvent &event = trace.events[i];
+        if (correct)
+            out.correct[i] = true;
+        // Translation must be resident before the block is fetched.
+        if (atb.access(event.block))
+            out.hit[i] = true;
+        // Predict the follower, then train with the actual outcome.
+        correct = atb.predictNext(event.block) == event.next;
+        atb.update(event.block, event.branchTaken, event.next);
     }
-    // Ring full: overwrite the oldest record.
-    records_[head_] = rec;
-    head_ = (head_ + 1) % records_.size();
-}
-
-std::vector<FetchTraceRecord>
-FetchTrace::inOrder() const
-{
-    std::vector<FetchTraceRecord> out;
-    out.reserve(records_.size());
-    out.insert(out.end(), records_.begin() + std::ptrdiff_t(head_),
-               records_.end());
-    out.insert(out.end(), records_.begin(),
-               records_.begin() + std::ptrdiff_t(head_));
+    if (correct)
+        out.correct[n] = true;
+    out.hits = atb.hits();
+    out.misses = atb.misses();
     return out;
 }
 
-FetchStats
-simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
-              const sim::BlockTrace &trace, const FetchConfig &config)
+L0Stream
+runL0FrontEnd(const Att &att, const sim::BlockTrace &trace,
+              unsigned capacity_ops)
 {
-    const Att att = Att::build(image, program);
-    Atb atb(att, config.atbEntries, config.predictor);
+    const std::uint64_t n = trace.events.size();
+    L0Buffer buffer(capacity_ops);
+    L0Stream out;
+    out.hit.resize(n);
+    out.occupancy.reserve(std::size_t(n / kCounterInterval));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const isa::BlockId block = trace.events[i].block;
+        if (buffer.access(block, att.entry(block).numOps))
+            out.hit[i] = true;
+        if ((i + 1) % kCounterInterval == 0)
+            out.occupancy.push_back(buffer.residentOps());
+    }
+    return out;
+}
+
+/**
+ * The Table-1 stall of every (prediction, L1, L0) outcome of one
+ * configuration, taken from stallBreakdown() itself so the back end
+ * does not re-derive the model. Of a block's shape only its line
+ * count enters, through the l1Refill cause, linearly (checked here).
+ */
+struct StallTable
+{
+    StallBreakdown oneLine[8];
+    std::uint64_t refillPerLine[8] = {};
+    std::uint64_t l0Saved[8] = {};
+
+    static unsigned
+    index(bool prediction_correct, bool l1_hit, bool l0_hit)
+    {
+        return unsigned(prediction_correct) | unsigned(l1_hit) << 1 |
+               unsigned(l0_hit) << 2;
+    }
+
+    StallTable(SchemeClass scheme, const CyclePenalties &p)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            FetchEvent fe;
+            fe.predictionCorrect = i & 1;
+            fe.l1Hit = i & 2;
+            fe.l0Hit = i & 4;
+            const StallBreakdown one = stallBreakdown(scheme, fe, 1, 1, 1, p);
+            const StallBreakdown two = stallBreakdown(scheme, fe, 1, 1, 2, p);
+            const StallBreakdown three =
+                stallBreakdown(scheme, fe, 1, 1, 3, p);
+            TEPIC_ASSERT(two.mispredict == one.mispredict &&
+                             two.decodeStage == one.decodeStage &&
+                             three.mispredict == one.mispredict &&
+                             three.decodeStage == one.decodeStage &&
+                             three.l1Refill - two.l1Refill ==
+                                 two.l1Refill - one.l1Refill,
+                         "stall model is not linear in block lines");
+            oneLine[i] = one;
+            refillPerLine[i] = two.l1Refill - one.l1Refill;
+            l0Saved[i] = l0BypassSavings(scheme, fe, p);
+        }
+    }
+};
+
+/**
+ * The back end: one configuration's pass through the L1, the bus and
+ * the Table-1 cycle model, reading the ATB (and, for the compressed
+ * scheme, L0) outcomes from the front end.
+ */
+FetchStats
+simulateBackEnd(const Att &att, const isa::Image &image,
+                const sim::BlockTrace &trace, const AtbStream &atb,
+                const L0Stream *l0, const FetchConfig &config,
+                ThreeCClassifier *three_c)
+{
+    const bool compressed = config.scheme == SchemeClass::kCompressed;
+    TEPIC_ASSERT(!compressed || l0 != nullptr,
+                 "the compressed scheme needs an L0 front end");
     BankedCache cache(config.cache);
-    L0Buffer buffer(config.l0CapacityOps);
+    const LineMap lines(config.cache);
     power::BusModel bus(config.busWidthBytes);
+    const StallTable stall_table(config.scheme, config.penalties);
 
     FetchStats stats;
 
@@ -100,52 +173,35 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         hot = &*hot_stats;
     }
 
-    // Prediction for the very first block: treat as correct (cold
-    // start is charged to neither scheme).
-    bool next_prediction_correct = true;
-    std::uint64_t event_index = 0;
+    // The ATT entry an ATB miss uploads over the bus.
+    const std::size_t att_bytes = (att.entryBits() + 7) / 8;
 
-    // Scratch for the ATT-entry bus transfer on ATB misses: sized
-    // once, refilled per miss (the fill pattern depends only on the
-    // block id, so reuse cannot change the bit-flip accounting).
-    std::vector<std::uint8_t> att_bytes((att.entryBits() + 7) / 8);
-
-    for (const auto &event : trace.events) {
+    const std::uint64_t n = trace.events.size();
+    for (std::uint64_t event_index = 0; event_index < n; ++event_index) {
+        const sim::TraceEvent &event = trace.events[event_index];
         const isa::BlockId block = event.block;
         const AttEntry &entry = att.entry(block);
         ++stats.blocksFetched;
         if (rec)
             rec->onFetch(block);
 
-        FetchEvent fe;
-        fe.predictionCorrect = next_prediction_correct;
-
-        // Per-cause stall accounting for this block; the simulator
-        // owns the ATB cause, the cycle model the other three.
-        StallBreakdown causes;
+        const bool prediction_correct = atb.correct[event_index];
 
         // ATB: translation must be resident before the block can be
-        // fetched; a miss costs the ATT upload from ROM.
-        const bool atb_hit = atb.access(block);
+        // fetched; a miss costs the ATT upload from ROM, over the
+        // memory bus.
+        const bool atb_hit = atb.hit[event_index];
         if (rec)
             rec->onAtbAccess(atb_hit);
-        if (!atb_hit) {
-            causes.atbMiss += config.penalties.atbMissPenalty;
-            // The ATT entry travels over the memory bus.
-            std::fill(att_bytes.begin(), att_bytes.end(),
-                      std::uint8_t(0xa5 ^ (block & 0xff)));
-            bus.transfer(att_bytes);
-        }
+        if (!atb_hit)
+            bus.transferFill(std::uint8_t(0xa5 ^ (block & 0xff)), att_bytes);
 
         // L0 buffer (compressed only) — checked before/with the L1.
-        bool l0_hit = false;
-        if (config.scheme == SchemeClass::kCompressed) {
-            l0_hit = buffer.access(block, entry.numOps);
-            fe.l0Hit = l0_hit;
-        }
+        const bool l0_hit = compressed && l0->hit[event_index];
 
         // L1 access (skipped entirely on an L0 hit: the buffer has
         // priority and already holds the whole decompressed block).
+        bool l1_hit = true;
         std::uint32_t n_lines = 1;
         if (!l0_hit) {
             const CacheAccess access =
@@ -154,7 +210,11 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 rec->onL1Block(entry.byteAddress, entry.byteSize,
                                access.hit);
             }
-            fe.l1Hit = access.hit;
+            if (three_c) {
+                three_c->access(entry.byteAddress, entry.byteSize,
+                                access.hit);
+            }
+            l1_hit = access.hit;
             n_lines = access.blockLines;
             if (!access.hit) {
                 stats.linesTransferred += access.linesFilled;
@@ -172,28 +232,18 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         } else {
             if (rec)
                 rec->onL0Bypass();
-            fe.l1Hit = true;
-            const std::uint32_t span =
-                (entry.byteAddress % config.cache.lineBytes +
-                 entry.byteSize + config.cache.lineBytes - 1) /
-                config.cache.lineBytes;
-            n_lines = std::max(1u, span);
+            if (entry.byteSize > 0)
+                n_lines = lines.span(entry.byteAddress, entry.byteSize);
         }
 
-        // Host-side decode: first touch decodes the block, replays
-        // come from the cache. Outside the architectural model by
-        // construction — nothing below reads the decoded ops.
-        if (config.decodedBlocks != nullptr)
-            config.decodedBlocks->ops(block);
-
-        {
-            const StallBreakdown model = stallBreakdown(
-                config.scheme, fe, entry.numMops, entry.numOps,
-                n_lines, config.penalties);
-            causes.mispredict += model.mispredict;
-            causes.l1Refill += model.l1Refill;
-            causes.decodeStage += model.decodeStage;
-        }
+        // Per-cause stall accounting for this block; the simulator
+        // owns the ATB cause, the cycle model the other three.
+        const unsigned outcome =
+            StallTable::index(prediction_correct, l1_hit, l0_hit);
+        StallBreakdown causes = stall_table.oneLine[outcome];
+        causes.l1Refill +=
+            stall_table.refillPerLine[outcome] * (n_lines - 1);
+        causes.atbMiss = atb_hit ? 0 : config.penalties.atbMissPenalty;
         const std::uint64_t stall = causes.total();
         const std::uint64_t block_cycles = entry.numMops + stall;
         if (hot) {
@@ -211,10 +261,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
         stats.refillStallCycles += causes.l1Refill;
         stats.decodeStallCycles += causes.decodeStage;
         stats.atbStallCycles += causes.atbMiss;
-        if (l0_hit) {
-            stats.l0SavedCycles +=
-                l0BypassSavings(config.scheme, fe, config.penalties);
-        }
+        stats.l0SavedCycles += stall_table.l0Saved[outcome];
 
         if (config.trace.enabled &&
             (config.trace.sampleEvery <= 1 ||
@@ -229,9 +276,9 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
             rec.decodeStall = std::uint32_t(causes.decodeStage);
             rec.atbStall = std::uint32_t(causes.atbMiss);
             rec.atbHit = atb_hit;
-            rec.l1Hit = fe.l1Hit;
+            rec.l1Hit = l1_hit;
             rec.l0Hit = l0_hit;
-            rec.predictionCorrect = fe.predictionCorrect;
+            rec.predictionCorrect = prediction_correct;
             stats.trace.record(config.trace, rec);
             stats.stallHistogram.sample(std::int64_t(stall));
             stats.mispredictHistogram.sample(
@@ -241,9 +288,8 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                 std::int64_t(causes.decodeStage));
             stats.atbHistogram.sample(std::int64_t(causes.atbMiss));
         }
-        ++event_index;
-
-        if (trace_sink && event_index % kCounterInterval == 0) {
+        const std::uint64_t events_done = event_index + 1;
+        if (trace_sink && events_done % kCounterInterval == 0) {
             // Counter tracks: running stall rate (stall cycles per
             // total cycle so far) and, for compressed, L0 occupancy.
             support::trace::counter(
@@ -252,40 +298,32 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
                                    double(stats.cycles)
                              : 0.0,
                 "fetch");
-            if (config.scheme == SchemeClass::kCompressed) {
-                support::trace::counter("fetch.compressed.l0_occupancy",
-                                        double(buffer.residentOps()),
-                                        "fetch");
+            if (compressed) {
+                support::trace::counter(
+                    "fetch.compressed.l0_occupancy",
+                    double(l0->occupancy[std::size_t(
+                        events_done / kCounterInterval - 1)]),
+                    "fetch");
             }
         }
 
-        if (fe.predictionCorrect)
-            ++stats.predictionsCorrect;
-        else
-            ++stats.predictionsWrong;
-        if (fe.l1Hit)
-            ++stats.l1Hits;
-        else
-            ++stats.l1Misses;
-        if (config.scheme == SchemeClass::kCompressed) {
-            if (l0_hit)
-                ++stats.l0Hits;
-            else
-                ++stats.l0Misses;
-        }
+        stats.predictionsCorrect += prediction_correct;
+        stats.predictionsWrong += !prediction_correct;
+        stats.l1Hits += l1_hit;
+        stats.l1Misses += !l1_hit;
+        stats.l0Hits += l0_hit;
+        stats.l0Misses += compressed && !l0_hit;
 
-        // Predict the follower, then train with the actual outcome.
-        const isa::BlockId predicted = atb.predictNext(block);
-        next_prediction_correct = predicted == event.next;
         if (hot) {
+            // The prediction this block made for its follower (the
+            // one after the last block is never consumed).
             hot->onBranchSite(block, event.branchTaken,
-                              next_prediction_correct);
+                              atb.correct[events_done]);
         }
-        atb.update(block, event.branchTaken, event.next);
     }
 
-    stats.atbHits = atb.hits();
-    stats.atbMisses = atb.misses();
+    stats.atbHits = atb.hits;
+    stats.atbMisses = atb.misses;
     stats.busBeats = bus.beats();
     stats.busBitFlips = bus.bitFlips();
     stats.bytesTransferred = bus.bytesTransferred();
@@ -294,6 +332,129 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     if (hot)
         stats.hotStats = hot->finish();
     return stats;
+}
+
+} // namespace
+
+void
+FetchTrace::record(const FetchTraceOptions &options,
+                   const FetchTraceRecord &rec)
+{
+    ++recorded_;
+    if (options.ringCapacity == 0 ||
+        records_.size() < options.ringCapacity) {
+        records_.push_back(rec);
+        return;
+    }
+    // Ring full: overwrite the oldest record.
+    records_[head_] = rec;
+    head_ = (head_ + 1) % records_.size();
+}
+
+std::vector<FetchTraceRecord>
+FetchTrace::inOrder() const
+{
+    std::vector<FetchTraceRecord> out;
+    out.reserve(records_.size());
+    out.insert(out.end(), records_.begin() + std::ptrdiff_t(head_),
+               records_.end());
+    out.insert(out.end(), records_.begin(),
+               records_.begin() + std::ptrdiff_t(head_));
+    return out;
+}
+
+FetchBatch::FetchBatch(const isa::VliwProgram &program,
+                       const sim::BlockTrace &trace)
+    : program_(program), trace_(trace)
+{
+}
+
+std::size_t
+FetchBatch::add(const isa::Image &image, const FetchConfig &config)
+{
+    Config entry;
+    entry.config = config;
+
+    // One ATT per distinct image.
+    entry.att = std::size_t(
+        std::find(images_.begin(), images_.end(), &image) -
+        images_.begin());
+    if (entry.att == images_.size()) {
+        images_.push_back(&image);
+        atts_.push_back(Att::build(image, program_));
+    }
+
+    // The ATB and its predictor are indexed by block id and read
+    // only the program's CFG (fallthrough, static target) from the
+    // ATT, so every image of the program shares one pass per key.
+    const PredictorConfig &p = config.predictor;
+    const auto atb_it = std::find_if(
+        atbPasses_.begin(), atbPasses_.end(), [&](const AtbPass &pass) {
+            return pass.entries == config.atbEntries &&
+                   pass.predictor.kind == p.kind &&
+                   pass.predictor.gshareHistoryBits ==
+                       p.gshareHistoryBits &&
+                   pass.predictor.pasHistoryBits == p.pasHistoryBits;
+        });
+    entry.atbPass = std::size_t(atb_it - atbPasses_.begin());
+    if (atb_it == atbPasses_.end())
+        atbPasses_.push_back({config.atbEntries, p, entry.att, {}});
+
+    // The L0 buffer holds decompressed blocks by op count: one pass
+    // per (image op counts, capacity), compressed scheme only.
+    if (config.scheme == SchemeClass::kCompressed) {
+        const auto l0_it = std::find_if(
+            l0Passes_.begin(), l0Passes_.end(), [&](const L0Pass &pass) {
+                return pass.att == entry.att &&
+                       pass.capacityOps == config.l0CapacityOps;
+            });
+        entry.l0Pass = std::size_t(l0_it - l0Passes_.begin());
+        if (l0_it == l0Passes_.end())
+            l0Passes_.push_back({config.l0CapacityOps, entry.att, {}});
+    }
+
+    configs_.push_back(std::move(entry));
+    return configs_.size() - 1;
+}
+
+void
+FetchBatch::runFrontEnd(std::size_t pass)
+{
+    TEPIC_ASSERT(pass < frontEndCount(), "no front-end pass ", pass);
+    if (pass < atbPasses_.size()) {
+        AtbPass &atb = atbPasses_[pass];
+        atb.stream = runAtbFrontEnd(atts_[atb.att], trace_, atb.entries,
+                                    atb.predictor);
+        return;
+    }
+    L0Pass &l0 = l0Passes_[pass - atbPasses_.size()];
+    l0.stream = runL0FrontEnd(atts_[l0.att], trace_, l0.capacityOps);
+}
+
+FetchStats
+FetchBatch::runBackEnd(std::size_t index,
+                       ThreeCClassifier *three_c) const
+{
+    TEPIC_ASSERT(index < configs_.size(), "no configuration ", index);
+    const Config &entry = configs_[index];
+    const L0Stream *l0 =
+        entry.config.scheme == SchemeClass::kCompressed
+            ? &l0Passes_[entry.l0Pass].stream
+            : nullptr;
+    return simulateBackEnd(atts_[entry.att], *images_[entry.att],
+                           trace_, atbPasses_[entry.atbPass].stream, l0,
+                           entry.config, three_c);
+}
+
+FetchStats
+simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
+              const sim::BlockTrace &trace, const FetchConfig &config)
+{
+    FetchBatch batch(program, trace);
+    batch.add(image, config);
+    for (std::size_t pass = 0; pass < batch.frontEndCount(); ++pass)
+        batch.runFrontEnd(pass);
+    return batch.runBackEnd(0);
 }
 
 } // namespace tepic::fetch

@@ -9,6 +9,22 @@
  * bit-flip power model. Its outputs are exactly the metrics of
  * Figures 13 (operations delivered per cycle) and 14 (bus bit flips),
  * plus the ATB/Figure-7 statistics.
+ *
+ * The model runs in two parts (DESIGN.md §14.1):
+ *
+ *  - a front end, one pass over the trace per key: the ATB and its
+ *    predictor (keyed on ATB entries + predictor; they are indexed
+ *    by block id and never see the encoded image) and the L0 buffer
+ *    (keyed on the image's per-block op counts + L0 capacity). It
+ *    emits one packed bit per event per structure;
+ *  - a back end, one pass per configuration: the L1 BankedCache, the
+ *    bus model and the Table-1 stall breakdown, reading the front
+ *    end's bits. Every recorder (FetchTrace, stall histograms,
+ *    Perfetto counters, cachestats, hotstats) hooks into this loop.
+ *
+ * simulateFetch() is the single-configuration entry point; a
+ * FetchBatch runs many configurations over one trace and shares each
+ * front-end pass between all the configurations with its key.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -18,13 +34,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "codec/decoder.hh"
 #include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
 #include "fetch/cache_stats.hh"
 #include "fetch/cycle_model.hh"
 #include "fetch/hot_stats.hh"
 #include "fetch/l0_buffer.hh"
+#include "fetch/three_c.hh"
 #include "isa/image.hh"
 #include "isa/program.hh"
 #include "power/bitflips.hh"
@@ -122,20 +138,6 @@ struct FetchConfig
      * -DTEPIC_ENABLE_TRACING=OFF.
      */
     HotStatsConfig hotStats;
-
-    /**
-     * Optional decoded-block cache (codec/decoder.hh): when set, the
-     * simulator touches it once per fetched block, so each static
-     * block is host-decoded exactly once per simulation and replayed
-     * thereafter. Purely a host-side accelerator: every architectural
-     * number (cycles, stall tiling, L0/ATB state, bus bit flips) is
-     * computed from image metadata and the trace, never from decoded
-     * operations, so stats with and without a cache are identical
-     * (asserted by tests). The caller owns the cache (and reads its
-     * hit/miss counters afterwards); it must wrap a decoder over the
-     * same image being simulated.
-     */
-    codec::DecodedBlockCache *decodedBlocks = nullptr;
 
     /** Paper configuration for a scheme (cache geometry per §5). */
     static FetchConfig
@@ -247,6 +249,99 @@ struct FetchStats
             predictionsCorrect + predictionsWrong;
         return total ? double(predictionsCorrect) / double(total) : 0.0;
     }
+};
+
+/**
+ * What the ATB/predictor front end saw on one trace, one packed bit
+ * per event per stream (std::vector<bool>).
+ */
+struct AtbStream
+{
+    std::vector<bool> hit;  ///< bit i: event i found its ATT entry resident
+    /**
+     * Bit i: the next-block prediction event i consumed was right
+     * (bit 0 is the cold start, counted correct). Bit N, one past the
+     * last event, is the final prediction nothing consumed.
+     */
+    std::vector<bool> correct;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+/** What the L0-buffer front end saw on one trace. */
+struct L0Stream
+{
+    std::vector<bool> hit;  ///< bit i: event i was served by the L0 buffer
+    /** Resident ops after every 1024th event (the Perfetto
+     *  occupancy track). */
+    std::vector<std::uint32_t> occupancy;
+};
+
+/**
+ * Many fetch configurations over one program's trace. add() each
+ * (image, config); run every front-end pass (distinct passes may run
+ * concurrently); then run each configuration's back end (concurrent
+ * calls are safe). One ATT is built per distinct image, one ATB pass
+ * per distinct (ATB entries, predictor) and one L0 pass per distinct
+ * (image, L0 capacity) among the compressed configurations. The
+ * images, program and trace must outlive the batch.
+ */
+class FetchBatch
+{
+  public:
+    FetchBatch(const isa::VliwProgram &program,
+               const sim::BlockTrace &trace);
+
+    /** Add @p config simulated over @p image; returns its index. */
+    std::size_t add(const isa::Image &image, const FetchConfig &config);
+
+    /** Front-end passes the added configurations need. */
+    std::size_t
+    frontEndCount() const
+    {
+        return atbPasses_.size() + l0Passes_.size();
+    }
+
+    /** Run front-end pass @p pass (0 <= pass < frontEndCount()). */
+    void runFrontEnd(std::size_t pass);
+
+    /**
+     * The back end of configuration @p index, after every front-end
+     * pass ran. When @p three_c is set, every L1 access is also
+     * classified into it (the sweep's 3C split, without a recorder).
+     */
+    FetchStats runBackEnd(std::size_t index,
+                          ThreeCClassifier *three_c = nullptr) const;
+
+  private:
+    struct AtbPass
+    {
+        unsigned entries = 0;
+        PredictorConfig predictor;
+        std::size_t att = 0;
+        AtbStream stream;
+    };
+    struct L0Pass
+    {
+        unsigned capacityOps = 0;
+        std::size_t att = 0;
+        L0Stream stream;
+    };
+    struct Config
+    {
+        FetchConfig config;
+        std::size_t att = 0;
+        std::size_t atbPass = 0;
+        std::size_t l0Pass = 0;  ///< compressed configurations only
+    };
+
+    const isa::VliwProgram &program_;
+    const sim::BlockTrace &trace_;
+    std::vector<const isa::Image *> images_;  ///< parallel to atts_
+    std::vector<Att> atts_;
+    std::vector<AtbPass> atbPasses_;
+    std::vector<L0Pass> l0Passes_;
+    std::vector<Config> configs_;
 };
 
 /**

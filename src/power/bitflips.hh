@@ -35,6 +35,13 @@ class BusModel
      */
     void transfer(std::span<const std::uint8_t> bytes);
 
+    /**
+     * Exactly transfer() of @p count copies of @p byte, in one step
+     * instead of a pass over a filled buffer: the fetch simulator's
+     * ATT-entry upload, paid on every ATB miss.
+     */
+    void transferFill(std::uint8_t byte, std::size_t count);
+
     std::uint64_t bitFlips() const { return bitFlips_; }
     std::uint64_t beats() const { return beats_; }
     std::uint64_t bytesTransferred() const { return bytes_; }

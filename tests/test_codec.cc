@@ -3,16 +3,12 @@
  * Tests for the unified codec layer: the canonical-Huffman LUT decode
  * fast path against the per-bit reference walk (differential, over
  * randomized tables), the codec::Decoder implementations against the
- * compiled program, the decoded-block cache's counters and reference
- * stability, the cached-vs-uncached fetch-simulation equivalence, and
- * the engine's kDecoder memoization.
+ * compiled program, and the engine's kDecoder memoization.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "codec/codec.hh"
@@ -20,7 +16,6 @@
 #include "core/pipeline.hh"
 #include "huffman/huffman.hh"
 #include "support/bitstream.hh"
-#include "support/metrics.hh"
 #include "support/rng.hh"
 #include "workloads/workload.hh"
 
@@ -211,136 +206,6 @@ TEST(Decoder, FingerprintsSeparateSchemesAndContents)
     // Same image, fresh decoder: identity is content, not object.
     EXPECT_EQ(codec::makeBaseDecoder(a.baseImage())->fingerprint(),
               base);
-}
-
-TEST(DecodedBlockCache, CountsAndKeepsReferencesStable)
-{
-    const auto &a = firArtifacts();
-    const codec::Decoder &decoder =
-        a.decoder(fetch::SchemeClass::kCompressed);
-    codec::DecodedBlockCache cache(decoder);
-    ASSERT_EQ(cache.size(), decoder.blockCount());
-    EXPECT_EQ(cache.fingerprint(), decoder.fingerprint());
-
-    const auto &first = cache.ops(0);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.opsDecoded(), first.size());
-    const auto *address = &first;
-
-    const auto &again = cache.ops(0);
-    EXPECT_EQ(&again, address) << "replay must not move the storage";
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(again, decoder.decodeBlock(0));
-
-    // Touch everything: misses are bounded by the static block count.
-    for (std::size_t id = 0; id < cache.size(); ++id)
-        cache.ops(isa::BlockId(id));
-    EXPECT_EQ(cache.misses(), cache.size());
-    EXPECT_EQ(&cache.ops(0), address);
-}
-
-TEST(DecodedBlockCache, CachedFetchSimulationIsBitIdentical)
-{
-    const auto &a = firArtifacts();
-    for (auto scheme :
-         {fetch::SchemeClass::kBase, fetch::SchemeClass::kCompressed,
-          fetch::SchemeClass::kTailored}) {
-        SCOPED_TRACE(fetch::schemeClassName(scheme));
-        const auto &image = core::imageFor(a, scheme);
-        const auto config = fetch::FetchConfig::paper(scheme);
-        const auto plain = fetch::simulateFetch(
-            image, a.compiled.program, a.trace(), config);
-
-        codec::DecodedBlockCache cache(a.decoder(scheme));
-        auto cached_config = config;
-        cached_config.decodedBlocks = &cache;
-        const auto cached = fetch::simulateFetch(
-            image, a.compiled.program, a.trace(), cached_config);
-
-        EXPECT_EQ(cached.cycles, plain.cycles);
-        EXPECT_EQ(cached.stallCycles, plain.stallCycles);
-        EXPECT_EQ(cached.mispredictStallCycles,
-                  plain.mispredictStallCycles);
-        EXPECT_EQ(cached.refillStallCycles, plain.refillStallCycles);
-        EXPECT_EQ(cached.decodeStallCycles, plain.decodeStallCycles);
-        EXPECT_EQ(cached.atbStallCycles, plain.atbStallCycles);
-        EXPECT_EQ(cached.l0SavedCycles, plain.l0SavedCycles);
-        EXPECT_EQ(cached.busBitFlips, plain.busBitFlips);
-        EXPECT_EQ(cached.bytesTransferred, plain.bytesTransferred);
-        EXPECT_EQ(cached.l1Hits, plain.l1Hits);
-        EXPECT_EQ(cached.l1Misses, plain.l1Misses);
-        EXPECT_EQ(cached.l0Hits, plain.l0Hits);
-        EXPECT_EQ(cached.l0Misses, plain.l0Misses);
-        EXPECT_EQ(cached.atbHits, plain.atbHits);
-        EXPECT_EQ(cached.atbMisses, plain.atbMisses);
-        EXPECT_EQ(cached.predictionsCorrect,
-                  plain.predictionsCorrect);
-        EXPECT_EQ(cached.predictionsWrong, plain.predictionsWrong);
-        EXPECT_EQ(cached.blocksFetched, plain.blocksFetched);
-        EXPECT_EQ(cached.opsDelivered, plain.opsDelivered);
-
-        // Every dynamic fetch touched the cache; every static block
-        // at most one decode.
-        EXPECT_EQ(cache.hits() + cache.misses(), cached.blocksFetched);
-        EXPECT_LE(cache.misses(), cache.size());
-    }
-}
-
-TEST(DecodedBlockCache, ConcurrentRunFetchChargesExactPerRunDeltas)
-{
-    // core::runFetch() attaches a fresh DecodedBlockCache per call
-    // over the shared pre-warmed (const) decoder, so concurrent runs
-    // stay independent and the per-run codec.* deltas it charges are
-    // exact-gated: K parallel runs add exactly K times one run's
-    // counters, and each run's cache accesses tile its fetches
-    // (hits + misses == blocks fetched).
-    const auto &a = firArtifacts();
-    auto &m = support::MetricsRegistry::global();
-    const auto scheme = fetch::SchemeClass::kCompressed;
-    const std::string prefix = "codec.compressed.";
-    const auto snapshot = [&] {
-        return std::array<std::uint64_t, 3>{
-            m.counter(prefix + "block_cache_hits"),
-            m.counter(prefix + "block_cache_misses"),
-            m.counter(prefix + "ops_decoded")};
-    };
-
-    const auto before = snapshot();
-    const auto serial = core::runFetch(a, scheme);
-    const auto after_one = snapshot();
-    const std::uint64_t hits = after_one[0] - before[0];
-    const std::uint64_t misses = after_one[1] - before[1];
-    const std::uint64_t decoded = after_one[2] - before[2];
-    EXPECT_EQ(hits + misses, serial.blocksFetched);
-    EXPECT_GE(misses, 1u);
-    EXPECT_LE(misses, a.decoder(scheme).blockCount())
-        << "a cold cache misses each touched static block once";
-    EXPECT_GT(decoded, 0u);
-
-    constexpr unsigned kRuns = 8;
-    std::vector<fetch::FetchStats> stats(kRuns);
-    {
-        std::vector<std::thread> threads;
-        threads.reserve(kRuns);
-        for (unsigned k = 0; k < kRuns; ++k) {
-            threads.emplace_back([&a, &stats, scheme, k] {
-                stats[k] = core::runFetch(a, scheme);
-            });
-        }
-        for (auto &t : threads)
-            t.join();
-    }
-    const auto after_all = snapshot();
-    EXPECT_EQ(after_all[0] - after_one[0], kRuns * hits);
-    EXPECT_EQ(after_all[1] - after_one[1], kRuns * misses);
-    EXPECT_EQ(after_all[2] - after_one[2], kRuns * decoded);
-    for (unsigned k = 0; k < kRuns; ++k) {
-        EXPECT_EQ(stats[k].blocksFetched, serial.blocksFetched)
-            << "run " << k;
-        EXPECT_EQ(stats[k].cycles, serial.cycles) << "run " << k;
-    }
 }
 
 // --- Engine integration ----------------------------------------------

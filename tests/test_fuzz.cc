@@ -15,7 +15,6 @@
 
 #include <algorithm>
 
-#include "codec/codec.hh"
 #include "compiler/driver.hh"
 #include "core/artifact_engine.hh"
 #include "core/pipeline.hh"
@@ -156,47 +155,6 @@ TEST_P(FuzzStallTiling, CausesTileUnderRandomConfigs)
         EXPECT_EQ(stats.cycles, stats.idealCycles + stats.stallCycles);
         if (scheme != SchemeClass::kCompressed)
             EXPECT_EQ(stats.l0SavedCycles, 0u);
-
-        // The decoded-block cache is host-side only: re-running the
-        // identical configuration with a cache attached must leave
-        // every architectural statistic bit-identical.
-        const auto decoder = scheme == SchemeClass::kCompressed
-            ? tepic::codec::makeDecoder(full)
-            : tepic::codec::makeBaseDecoder(base_image);
-        tepic::codec::DecodedBlockCache cache(*decoder);
-        auto cached_config = config;
-        cached_config.decodedBlocks = &cache;
-        const auto cached = tepic::fetch::simulateFetch(
-            image, compiled.program, emu.trace, cached_config);
-        EXPECT_EQ(cached.cycles, stats.cycles);
-        EXPECT_EQ(cached.idealCycles, stats.idealCycles);
-        EXPECT_EQ(cached.stallCycles, stats.stallCycles);
-        EXPECT_EQ(cached.mispredictStallCycles,
-                  stats.mispredictStallCycles);
-        EXPECT_EQ(cached.refillStallCycles, stats.refillStallCycles);
-        EXPECT_EQ(cached.decodeStallCycles, stats.decodeStallCycles);
-        EXPECT_EQ(cached.atbStallCycles, stats.atbStallCycles);
-        EXPECT_EQ(cached.l0SavedCycles, stats.l0SavedCycles);
-        EXPECT_EQ(cached.busBitFlips, stats.busBitFlips);
-        EXPECT_EQ(cached.bytesTransferred, stats.bytesTransferred);
-        EXPECT_EQ(cached.linesTransferred, stats.linesTransferred);
-        EXPECT_EQ(cached.l1Hits, stats.l1Hits);
-        EXPECT_EQ(cached.l1Misses, stats.l1Misses);
-        EXPECT_EQ(cached.l0Hits, stats.l0Hits);
-        EXPECT_EQ(cached.l0Misses, stats.l0Misses);
-        EXPECT_EQ(cached.atbHits, stats.atbHits);
-        EXPECT_EQ(cached.atbMisses, stats.atbMisses);
-        EXPECT_EQ(cached.predictionsCorrect,
-                  stats.predictionsCorrect);
-        EXPECT_EQ(cached.predictionsWrong, stats.predictionsWrong);
-        EXPECT_EQ(cached.blocksFetched, stats.blocksFetched);
-        EXPECT_EQ(cached.opsDelivered, stats.opsDelivered);
-        // And the cache itself must have decoded each touched static
-        // block exactly once: misses are bounded by the static block
-        // count while hits+misses count every dynamic fetch.
-        EXPECT_LE(cache.misses(), cache.size());
-        EXPECT_EQ(cache.hits() + cache.misses(),
-                  stats.blocksFetched);
     }
 }
 

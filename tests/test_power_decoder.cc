@@ -1,17 +1,21 @@
 /**
  * @file
  * Power-model and decoder-cost tests: bus bit-flip accounting against
- * hand-computed sequences, and the paper's §3.5 transistor-count
- * formula evaluated at known points.
+ * hand-computed sequences and a byte-lane reference, and the paper's
+ * §3.5 transistor-count formula evaluated at known points.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "compiler/driver.hh"
 #include "decoder/complexity.hh"
 #include "power/bitflips.hh"
 #include "schemes/huffman_scheme.hh"
 #include "schemes/tailored.hh"
+#include "support/rng.hh"
 
 namespace {
 
@@ -98,6 +102,70 @@ TEST(BusModel, WideBusPadsShortTailWithZeros)
     EXPECT_EQ(bus.beats(), 2u);
     EXPECT_EQ(bus.bitFlips(), 96u + 64u);
     EXPECT_EQ(bus.bytesTransferred(), 16u);
+}
+
+/** The bus one byte lane at a time: the obviously correct model. */
+class ByteLaneBus
+{
+  public:
+    explicit ByteLaneBus(unsigned width) : lanes_(width, 0) {}
+
+    void
+    transfer(const std::vector<std::uint8_t> &bytes)
+    {
+        for (std::size_t i = 0; i < bytes.size(); i += lanes_.size()) {
+            for (std::size_t b = 0; b < lanes_.size(); ++b) {
+                const std::uint8_t byte =
+                    i + b < bytes.size() ? bytes[i + b] : 0;
+                for (unsigned bit = 0; bit < 8; ++bit)
+                    flips += ((byte ^ lanes_[b]) >> bit) & 1;
+                lanes_[b] = byte;
+            }
+            ++beats;
+        }
+        this->bytes += bytes.size();
+    }
+
+    std::uint64_t flips = 0;
+    std::uint64_t beats = 0;
+    std::uint64_t bytes = 0;
+
+  private:
+    std::vector<std::uint8_t> lanes_;
+};
+
+TEST(BusModel, MatchesByteLaneReference)
+{
+    // Every width 1-16 (both the one-word and the per-lane paths),
+    // every length 0-70, random data, one bus per width so the state
+    // carries across transfers; transferFill must equal transfer()
+    // of the same filled buffer.
+    support::Rng rng(0xb05);
+    for (unsigned width = 1; width <= 16; ++width) {
+        SCOPED_TRACE(width);
+        power::BusModel bus(width);
+        ByteLaneBus ref(width);
+        for (int round = 0; round < 3; ++round) {
+            for (std::size_t length = 0; length <= 70; ++length) {
+                SCOPED_TRACE(length);
+                std::vector<std::uint8_t> bytes(length);
+                for (std::uint8_t &byte : bytes)
+                    byte = std::uint8_t(rng.below(256));
+                bus.transfer(bytes);
+                ref.transfer(bytes);
+                ASSERT_EQ(bus.bitFlips(), ref.flips);
+                ASSERT_EQ(bus.beats(), ref.beats);
+                ASSERT_EQ(bus.bytesTransferred(), ref.bytes);
+
+                const auto fill = std::uint8_t(rng.below(256));
+                bus.transferFill(fill, length);
+                ref.transfer(std::vector<std::uint8_t>(length, fill));
+                ASSERT_EQ(bus.bitFlips(), ref.flips);
+                ASSERT_EQ(bus.beats(), ref.beats);
+                ASSERT_EQ(bus.bytesTransferred(), ref.bytes);
+            }
+        }
+    }
 }
 
 TEST(BusModel, NarrowAndWidePathsAgreeAtTheBoundary)

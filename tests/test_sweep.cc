@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "core/artifact_engine.hh"
+#include "core/pipeline.hh"
 #include "core/sweep.hh"
+#include "decoder/complexity.hh"
 #include "fetch/fetch_sim.hh"
 #include "support/sweep.hh"
 #include "workloads/workload.hh"
@@ -254,6 +256,97 @@ TEST(SweepDriver, PointMatchesDirectSimulation)
               point.metrics.stallCycles);
     EXPECT_EQ(point.metrics.idealCycles + point.metrics.stallCycles,
               point.metrics.cycles);
+}
+
+TEST(SweepDriver, SharedFrontEndMatchesDirectSimulation)
+{
+    // The sweep shares ATB/predictor and L0 front-end passes across
+    // configurations, one ATT per image, and classifies 3C without the
+    // CACHE recorder. None of that may show: over the whole CI grid on
+    // fir, every field of every point equals a standalone
+    // simulateFetch of it with the full recorder on.
+    core::ArtifactEngine engine(1);
+    core::sweep::SweepOptions options;
+    options.grid = core::sweep::SweepGrid::ci();
+    options.grid.workloads = {"fir"};
+    options.jobs = 4;
+    const auto result = core::sweep::runSweep(engine, options);
+    ASSERT_EQ(result.points.size(), 288u);
+
+    const auto a = engine.build(
+        workloads::workloadByName("fir").source,
+        core::ArtifactRequest{core::ArtifactKind::kTrace,
+                              core::ArtifactKind::kBase,
+                              core::ArtifactKind::kFull,
+                              core::ArtifactKind::kTailored});
+    using Metrics = core::sweep::PointMetrics;
+    const std::pair<const char *, std::uint64_t Metrics::*> fields[] = {
+        {"sizeBits", &Metrics::sizeBits},
+        {"cycles", &Metrics::cycles},
+        {"idealCycles", &Metrics::idealCycles},
+        {"opsDelivered", &Metrics::opsDelivered},
+        {"blocksFetched", &Metrics::blocksFetched},
+        {"stallCycles", &Metrics::stallCycles},
+        {"mispredictStall", &Metrics::mispredictStall},
+        {"refillStall", &Metrics::refillStall},
+        {"decodeStall", &Metrics::decodeStall},
+        {"atbStall", &Metrics::atbStall},
+        {"l0SavedCycles", &Metrics::l0SavedCycles},
+        {"l1Hits", &Metrics::l1Hits},
+        {"l1Misses", &Metrics::l1Misses},
+        {"busBitFlips", &Metrics::busBitFlips},
+        {"busBeats", &Metrics::busBeats},
+        {"bytesTransferred", &Metrics::bytesTransferred},
+        {"decoderTransistors", &Metrics::decoderTransistors},
+        {"compulsory", &Metrics::compulsory},
+        {"capacity", &Metrics::capacity},
+        {"conflict", &Metrics::conflict},
+    };
+    for (const auto &point : result.points) {
+        SCOPED_TRACE(point.key);
+        const fetch::SchemeClass scheme = point.config.scheme;
+        const isa::Image &image = core::imageFor(*a, scheme);
+        const fetch::FetchStats s = fetch::simulateFetch(
+            image, a->compiled.program, a->trace(),
+            point.config.fetchConfig(true));
+
+        Metrics want;
+        want.sizeBits = image.bitSize;
+        want.cycles = s.cycles;
+        want.idealCycles = s.idealCycles;
+        want.opsDelivered = s.opsDelivered;
+        want.blocksFetched = s.blocksFetched;
+        want.stallCycles = s.stallCycles;
+        want.mispredictStall = s.mispredictStallCycles;
+        want.refillStall = s.refillStallCycles;
+        want.decodeStall = s.decodeStallCycles;
+        want.atbStall = s.atbStallCycles;
+        want.l0SavedCycles = s.l0SavedCycles;
+        want.l1Hits = s.l1Hits;
+        want.l1Misses = s.l1Misses;
+        want.busBitFlips = s.busBitFlips;
+        want.busBeats = s.busBeats;
+        want.bytesTransferred = s.bytesTransferred;
+        want.decoderTransistors =
+            scheme == fetch::SchemeClass::kBase ? 0
+            : scheme == fetch::SchemeClass::kCompressed
+                ? decoder::decoderTransistors(a->fullImage())
+                : decoder::tailoredDecoderTransistors(a->tailoredIsa());
+        // The 3C split is a model result of the sweep in every build;
+        // the recorder that cross-checks it exists only with tracing.
+        EXPECT_TRUE(point.metrics.cacheRecorded);
+        if (s.cacheStats.recorded) {
+            want.compulsory = s.cacheStats.compulsory;
+            want.capacity = s.cacheStats.capacity;
+            want.conflict = s.cacheStats.conflict;
+        } else {
+            want.compulsory = point.metrics.compulsory;
+            want.capacity = point.metrics.capacity;
+            want.conflict = point.metrics.conflict;
+        }
+        for (const auto &[name, field] : fields)
+            EXPECT_EQ(point.metrics.*field, want.*field) << name;
+    }
 }
 
 TEST(SweepDriver, AggregatesSumWorkloadPoints)
