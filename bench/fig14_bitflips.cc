@@ -91,5 +91,4 @@ TEPIC_BENCH_MAIN(printFigure14,
                      tepic::core::ArtifactKind::kBase,
                      tepic::core::ArtifactKind::kFull,
                      tepic::core::ArtifactKind::kTailored,
-                     tepic::core::ArtifactKind::kTrace,
-                     tepic::core::ArtifactKind::kDecoder}))
+                     tepic::core::ArtifactKind::kTrace}))

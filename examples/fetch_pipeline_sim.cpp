@@ -39,16 +39,14 @@ main(int argc, char **argv)
     std::printf("workload: %s — %s\n", workload.name.c_str(),
                 workload.description.c_str());
 
-    // The fetch study needs the three organisation images, the block
-    // trace, and the memoized decoders runFetch replays blocks from —
-    // not the byte/stream alphabets buildArtifacts() would also pay.
+    // The fetch study needs the three organisation images and the
+    // block trace — not the byte/stream alphabets or the ATT.
     using tepic::core::ArtifactKind;
     const auto built = tepic::core::ArtifactEngine::global().build(
         workload.source,
         tepic::core::ArtifactRequest{
             ArtifactKind::kBase, ArtifactKind::kFull,
-            ArtifactKind::kTailored, ArtifactKind::kTrace,
-            ArtifactKind::kDecoder});
+            ArtifactKind::kTailored, ArtifactKind::kTrace});
     const auto &artifacts = *built;
     std::printf("trace: %zu block fetches, %lu dynamic ops\n\n",
                 artifacts.execution.trace.events.size(),

@@ -14,7 +14,7 @@ class BaselineBlockDecoder final : public Decoder
 {
   public:
     explicit BaselineBlockDecoder(const isa::Image &image)
-        : image_(&image), fingerprint_(imageFingerprint(image))
+        : image_(&image)
     {
     }
 
@@ -24,8 +24,6 @@ class BaselineBlockDecoder final : public Decoder
     {
         return image_->blocks.size();
     }
-
-    std::uint64_t fingerprint() const override { return fingerprint_; }
 
     void
     decodeBlockInto(isa::BlockId id,
@@ -46,7 +44,6 @@ class BaselineBlockDecoder final : public Decoder
 
   private:
     const isa::Image *image_;
-    std::uint64_t fingerprint_;
 };
 
 } // namespace
@@ -73,30 +70,6 @@ std::unique_ptr<Decoder>
 makeDecoder(const schemes::DictionaryImage &compressed)
 {
     return schemes::makeBlockDecoder(compressed);
-}
-
-std::unique_ptr<Decoder>
-makeDecoder(fetch::SchemeClass scheme, const DecoderSources &sources)
-{
-    switch (scheme) {
-      case fetch::SchemeClass::kBase:
-        TEPIC_ASSERT(sources.baseImage != nullptr,
-                     "makeDecoder(kBase) needs a base image");
-        return makeBaseDecoder(*sources.baseImage);
-      case fetch::SchemeClass::kCompressed:
-        TEPIC_ASSERT(sources.compressedImage != nullptr,
-                     "makeDecoder(kCompressed) needs a compressed "
-                     "image");
-        return makeDecoder(*sources.compressedImage);
-      case fetch::SchemeClass::kTailored:
-        TEPIC_ASSERT(sources.tailoredIsa != nullptr &&
-                         sources.tailoredImage != nullptr,
-                     "makeDecoder(kTailored) needs the tailored ISA "
-                     "and image");
-        return makeDecoder(*sources.tailoredIsa,
-                           *sources.tailoredImage);
-    }
-    TEPIC_PANIC("unknown scheme class");
 }
 
 DictionaryShape

@@ -4,11 +4,10 @@
  *
  * codec/decoder.hh defines the interface; this header is where
  * consumers obtain concrete decoders without including (or caring
- * about) per-scheme internals. makeDecoder(SchemeClass, ...) is the
- * fetch-side entry point: given the artifacts of one of the three
- * study organisations it returns the matching decoder. The per-image
- * overloads cover the remaining alphabets (byte, stream, dictionary)
- * for round-trip verification and the decode microbenchmarks.
+ * about) per-scheme internals: one factory per encoded image (base,
+ * Huffman of any alphabet, tailored, dictionary). They serve the
+ * round-trip checks, the tools, the examples and the decode
+ * microbenchmarks; the fetch model never decodes (DESIGN.md §10).
  */
 
 #ifndef TEPIC_CODEC_CODEC_HH
@@ -17,7 +16,6 @@
 #include <memory>
 
 #include "codec/decoder.hh"
-#include "fetch/cycle_model.hh"
 #include "schemes/dictionary.hh"
 #include "schemes/huffman_scheme.hh"
 #include "schemes/tailored.hh"
@@ -38,26 +36,6 @@ makeDecoder(const schemes::TailoredIsa &isa, const isa::Image &image);
 /** Decoder over a dictionary image. */
 std::unique_ptr<Decoder>
 makeDecoder(const schemes::DictionaryImage &compressed);
-
-/**
- * Everything the three fetch organisations can decode from. Fill in
- * the members the scheme class needs; makeDecoder checks at runtime:
- *  - kBase needs baseImage;
- *  - kCompressed needs compressedImage (the full-op alphabet in the
- *    study, but any alphabet works);
- *  - kTailored needs tailoredIsa + tailoredImage.
- */
-struct DecoderSources
-{
-    const isa::Image *baseImage = nullptr;
-    const schemes::CompressedImage *compressedImage = nullptr;
-    const schemes::TailoredIsa *tailoredIsa = nullptr;
-    const isa::Image *tailoredImage = nullptr;
-};
-
-/** Dispatch on the fetch organisation. Fatal if a source is missing. */
-std::unique_ptr<Decoder>
-makeDecoder(fetch::SchemeClass scheme, const DecoderSources &sources);
 
 /**
  * The dictionary shape behind a Huffman image — the (n, k, m) of the

@@ -18,7 +18,8 @@
  * The fetch simulator never decodes: cycle accounting, L0/ATB state
  * and bus bit flips are computed from the image metadata and the
  * trace (DESIGN.md §10). Decoders serve the round-trip checks, the
- * tools and the examples.
+ * decode microbenchmarks, the tools and the examples, each of which
+ * builds one when it needs it; nothing caches them.
  */
 
 #ifndef TEPIC_CODEC_DECODER_HH
@@ -34,28 +35,10 @@
 
 namespace tepic::codec {
 
-/** FNV-1a over an image's identity: scheme name + packed bytes. */
-inline std::uint64_t
-imageFingerprint(const isa::Image &image)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    auto mix = [&hash](std::uint8_t byte) {
-        hash ^= byte;
-        hash *= 1099511628211ull;
-    };
-    for (char c : image.scheme)
-        mix(std::uint8_t(c));
-    for (std::size_t shift = 0; shift < 64; shift += 8)
-        mix(std::uint8_t(image.bitSize >> shift));
-    for (std::uint8_t byte : image.bytes)
-        mix(byte);
-    return hash;
-}
-
 /**
  * Decodes blocks of one encoded image. Implementations are immutable
- * views over the image (plus whatever tables the scheme needs) and
- * are safe to share across threads for const use.
+ * views over the image (plus whatever tables the scheme needs), must
+ * not outlive it, and are safe to share across threads for const use.
  */
 class Decoder
 {
@@ -67,13 +50,6 @@ class Decoder
 
     /** Number of static blocks in the image. */
     virtual std::size_t blockCount() const = 0;
-
-    /**
-     * Identity of (scheme, image content) — the cache key part that
-     * is not the block id. Two decoders over bit-identical images of
-     * the same scheme agree; any content change disagrees.
-     */
-    virtual std::uint64_t fingerprint() const = 0;
 
     /** Decode block @p id into @p out (cleared first). */
     virtual void decodeBlockInto(isa::BlockId id,

@@ -25,7 +25,6 @@ artifactKindName(ArtifactKind kind)
       case ArtifactKind::kTailored: return "tailored";
       case ArtifactKind::kAtt: return "att";
       case ArtifactKind::kTrace: return "trace";
-      case ArtifactKind::kDecoder: return "decoder";
     }
     TEPIC_PANIC("bad artifact kind");
 }
@@ -74,8 +73,7 @@ ArtifactRequest::parse(const std::string &csv)
         if (!known) {
             TEPIC_FATAL("unknown artifact kind '", name,
                         "' (expected base, byte, stream, full, "
-                        "tailored, att, trace, decoder, all or "
-                        "none)");
+                        "tailored, att, trace, all or none)");
         }
     }
     return request;
@@ -284,16 +282,14 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
     const ArtifactRequest request = req.request;
     const schemes::HuffmanOptions huffman = req.config.huffman;
 
-    // Ids of the image tasks the phase-3 builders depend on.
-    std::uint64_t base_task = ~std::uint64_t(0);
+    // Id of the Full-image task the phase-3 ATT builder depends on.
     std::uint64_t full_task = ~std::uint64_t(0);
-    std::uint64_t tailored_task = ~std::uint64_t(0);
 
     if (request.has(ArtifactKind::kBase)) {
-        base_task = declareSchedTask(workload, "base", "",
-                                     {compile_task});
-        tasks.push_back([this, &a, base_task] {
-            support::sched::TaskScope sched_scope(base_task);
+        const std::uint64_t task_id =
+            declareSchedTask(workload, "base", "", {compile_task});
+        tasks.push_back([this, &a, task_id] {
+            support::sched::TaskScope sched_scope(task_id);
             TEPIC_TRACE_SPAN("engine.build.base", "engine");
             support::prof::ProfScope prof(
                 support::prof::Phase::kBuildBase);
@@ -364,10 +360,10 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
         });
     }
     if (request.has(ArtifactKind::kTailored)) {
-        tailored_task = declareSchedTask(workload, "tailored", "",
-                                         {compile_task});
-        tasks.push_back([this, &a, tailored_task] {
-            support::sched::TaskScope sched_scope(tailored_task);
+        const std::uint64_t task_id =
+            declareSchedTask(workload, "tailored", "", {compile_task});
+        tasks.push_back([this, &a, task_id] {
+            support::sched::TaskScope sched_scope(task_id);
             TEPIC_TRACE_SPAN("engine.build.tailored", "engine");
             support::prof::ProfScope prof(
                 support::prof::Phase::kBuildTailored);
@@ -398,28 +394,6 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
             a.att_ = fetch::Att::build(a.full_->image,
                                        a.compiled.program);
             attBuilds_.fetch_add(1, std::memory_order_relaxed);
-        });
-    }
-    if (request.has(ArtifactKind::kDecoder)) {
-        // Third phase alongside the ATT: the decoders reference the
-        // base/full/tailored images written in phase 2. Pre-warming
-        // here fills the memoized slots at the published object's
-        // final heap address, so consumers never pay construction
-        // inside a timed fetch window (and concurrent readers of a
-        // shared Artifacts see fully-built decoders).
-        const std::uint64_t task_id = declareSchedTask(
-            workload, "decoder", "",
-            {base_task, full_task, tailored_task});
-        att_tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.decoder", "engine");
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.decoder_ms");
-            a.decoder(fetch::SchemeClass::kBase);
-            a.decoder(fetch::SchemeClass::kCompressed);
-            a.decoder(fetch::SchemeClass::kTailored);
-            decoderBuilds_.fetch_add(3, std::memory_order_relaxed);
         });
     }
 }
@@ -653,7 +627,6 @@ ArtifactEngine::stats() const
     s.tailoredImages =
         tailoredImages_.load(std::memory_order_relaxed);
     s.attBuilds = attBuilds_.load(std::memory_order_relaxed);
-    s.decoderBuilds = decoderBuilds_.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -671,7 +644,6 @@ ArtifactEngine::exportMetrics(support::MetricsRegistry &out) const
     out.addCounter("engine.images.full", s.fullImages);
     out.addCounter("engine.images.tailored", s.tailoredImages);
     out.addCounter("engine.att_builds", s.attBuilds);
-    out.addCounter("engine.decoder_builds", s.decoderBuilds);
     if (pool_) {
         const support::PoolStats pool = pool_->stats();
         out.addRuntime("threadpool.workers", pool_->threadCount());

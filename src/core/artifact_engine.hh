@@ -78,7 +78,6 @@ struct EngineStats
     std::uint64_t fullImages = 0;
     std::uint64_t tailoredImages = 0;
     std::uint64_t attBuilds = 0;
-    std::uint64_t decoderBuilds = 0;  ///< pre-warmed codec::Decoders
 
     /** Total Huffman-family images built (byte + stream + full). */
     std::uint64_t
@@ -141,15 +140,14 @@ class ArtifactEngine
 
     /**
      * The process-wide engine (hardware-concurrency jobs), shared by
-     * the bench harnesses and the compatibility wrappers so repeated
-     * builds of the same workload are free across helpers.
+     * the bench harnesses, tepicc and the examples so repeated builds
+     * of the same workload are free across helpers.
      */
     static ArtifactEngine &global();
 
     /**
-     * Serial, uncached build-everything path — the implementation of
-     * the legacy core::buildArtifacts() wrapper. Exposed for callers
-     * that want a fresh value object with no shared ownership.
+     * Serial, uncached build of @p request. For callers that want a
+     * fresh value object with no shared ownership.
      */
     static Artifacts buildUncached(const std::string &source,
                                    ArtifactRequest request,
@@ -166,8 +164,8 @@ class ArtifactEngine
     void compileStage(Artifacts &artifacts, const BuildRequest &req);
 
     /**
-     * Append one task per requested scheme to @p tasks; ATT and
-     * decoder tasks go to @p att_tasks because they read the images
+     * Append one task per requested scheme to @p tasks; the ATT
+     * task goes to @p att_tasks because it reads the Full image
      * written in the scheme phase and must run after it. Also
      * declares every task (with its dependency edges on
      * @p compile_task) to the support::sched recorder — called
@@ -206,7 +204,6 @@ class ArtifactEngine
     std::atomic<std::uint64_t> fullImages_{0};
     std::atomic<std::uint64_t> tailoredImages_{0};
     std::atomic<std::uint64_t> attBuilds_{0};
-    std::atomic<std::uint64_t> decoderBuilds_{0};
 };
 
 /** Content hash of (source, config): the engine's cache key. */

@@ -7,10 +7,7 @@
  * select encoded images, kAtt asks for the Address Translation Table
  * of the Full image (Figure 7), kTrace controls whether the
  * emulator keeps the dynamic block trace (required by the fetch and
- * power simulations, dead weight for pure size studies), and
- * kDecoder builds the codec::Decoder for each of the three fetch
- * organisations (implying their images), memoized for consumers that
- * decode blocks.
+ * power simulations, dead weight for pure size studies).
  */
 
 #ifndef TEPIC_CORE_ARTIFACT_REQUEST_HH
@@ -29,11 +26,9 @@ enum class ArtifactKind : unsigned {
     kTailored,      ///< tailored ISA + image
     kAtt,           ///< ATT over the Full image (implies kFull)
     kTrace,         ///< dynamic block trace from the emulator
-    kDecoder,       ///< codec::Decoders for base/full/tailored
-                    ///< (implies those images)
 };
 
-inline constexpr unsigned kNumArtifactKinds = 8;
+inline constexpr unsigned kNumArtifactKinds = 7;
 
 const char *artifactKindName(ArtifactKind kind);
 
@@ -50,7 +45,7 @@ class ArtifactRequest
             bits_ |= bit(kind);
     }
 
-    /** Every kind, trace included (the classic buildArtifacts()). */
+    /** Every kind, trace included. */
     static constexpr ArtifactRequest
     all()
     {
@@ -107,8 +102,7 @@ class ArtifactRequest
 
     /**
      * Close over implied dependencies (kAtt needs the Full image it
-     * is built from; kDecoder needs the three fetch-scheme images it
-     * decodes). The engine keys its cache on normalized sets.
+     * is built from). The engine keys its cache on normalized sets.
      */
     constexpr ArtifactRequest
     normalized() const
@@ -116,11 +110,6 @@ class ArtifactRequest
         ArtifactRequest r = *this;
         if (r.has(ArtifactKind::kAtt))
             r.bits_ |= bit(ArtifactKind::kFull);
-        if (r.has(ArtifactKind::kDecoder)) {
-            r.bits_ |= bit(ArtifactKind::kBase);
-            r.bits_ |= bit(ArtifactKind::kFull);
-            r.bits_ |= bit(ArtifactKind::kTailored);
-        }
         return r;
     }
 

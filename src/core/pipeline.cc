@@ -4,6 +4,7 @@
 #include <string>
 
 #include "asmgen/layout.hh"
+#include "codec/codec.hh"
 #include "core/artifact_engine.hh"
 #include "decoder/complexity.hh"
 #include "support/logging.hh"
@@ -102,34 +103,6 @@ Artifacts::trace() const
     return execution.trace;
 }
 
-const codec::Decoder &
-Artifacts::decoder(fetch::SchemeClass scheme) const
-{
-    if (!request_.has(ArtifactKind::kDecoder))
-        missingArtifact(ArtifactKind::kDecoder);
-    const auto slot_index = unsigned(scheme);
-    TEPIC_ASSERT(slot_index < decoderSlots_.byScheme.size(),
-                 "bad scheme class");
-    auto &slot = decoderSlots_.byScheme[slot_index];
-    if (!slot) {
-        codec::DecoderSources sources;
-        switch (scheme) {
-          case fetch::SchemeClass::kBase:
-            sources.baseImage = &baseImage();
-            break;
-          case fetch::SchemeClass::kCompressed:
-            sources.compressedImage = &fullImage();
-            break;
-          case fetch::SchemeClass::kTailored:
-            sources.tailoredIsa = &tailoredIsa();
-            sources.tailoredImage = &tailoredImage();
-            break;
-        }
-        slot = codec::makeDecoder(scheme, sources);
-    }
-    return *slot;
-}
-
 std::size_t
 Artifacts::bestStreamBySize() const
 {
@@ -159,15 +132,6 @@ Artifacts::bestStreamByDecoder() const
         }
     }
     return best;
-}
-
-Artifacts
-buildArtifacts(const std::string &source, const PipelineConfig &config)
-{
-    ArtifactRequest request = ArtifactRequest::all();
-    if (!config.buildAllStreamConfigs)
-        request = request.without(ArtifactKind::kStream);
-    return ArtifactEngine::buildUncached(source, request, config);
 }
 
 const isa::Image &
@@ -225,18 +189,6 @@ recordFetchMetrics(fetch::SchemeClass scheme,
     m.addCounter(prefix + "lines_transferred", stats.linesTransferred);
     m.addCounter(prefix + "bus_bit_flips", stats.busBitFlips);
     m.addCounter(prefix + "bytes_transferred", stats.bytesTransferred);
-    if (stats.stallHistogram.total() > 0) {
-        m.mergeHistogram(prefix + "stall_cycles_hist",
-                         stats.stallHistogram);
-        m.mergeHistogram(prefix + "stall.mispredict_hist",
-                         stats.mispredictHistogram);
-        m.mergeHistogram(prefix + "stall.l1_refill_hist",
-                         stats.refillHistogram);
-        m.mergeHistogram(prefix + "stall.decode_stage_hist",
-                         stats.decodeHistogram);
-        m.mergeHistogram(prefix + "stall.atb_miss_hist",
-                         stats.atbHistogram);
-    }
 }
 
 /**

@@ -15,20 +15,16 @@
  *
  * Artifacts exposes the results through *checked accessors* — asking
  * for an image that was not requested is a loud, fatal error, never a
- * silently empty object. buildArtifacts() remains as the thin
- * build-everything wrapper the original API shipped.
+ * silently empty object.
  */
 
 #ifndef TEPIC_CORE_PIPELINE_HH
 #define TEPIC_CORE_PIPELINE_HH
 
-#include <array>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "codec/codec.hh"
 #include "compiler/driver.hh"
 #include "core/artifact_request.hh"
 #include "fetch/att.hh"
@@ -45,7 +41,6 @@ struct PipelineConfig
     compiler::CompileOptions compile;
     bool profileGuided = true;
     schemes::HuffmanOptions huffman;
-    bool buildAllStreamConfigs = true;  ///< honoured by buildArtifacts()
     sim::EmulatorConfig emulator;
 };
 
@@ -75,13 +70,6 @@ struct Artifacts
     const fetch::Att &att() const;   ///< ATT over the Full image
     const sim::BlockTrace &trace() const;
 
-    /**
-     * The memoized codec::Decoder for one of the three fetch
-     * organisations (requires kDecoder in the request). The decoder
-     * references the images held by this Artifacts object.
-     */
-    const codec::Decoder &decoder(fetch::SchemeClass scheme) const;
-
     /** Compression ratio of @p image vs the baseline code segment. */
     double
     ratio(const isa::Image &image) const
@@ -107,47 +95,7 @@ struct Artifacts
     std::optional<schemes::TailoredIsa> tailoredIsa_;
     std::optional<isa::Image> tailoredImage_;
     std::optional<fetch::Att> att_;
-
-    /**
-     * Memoized per-scheme decoders, indexed by SchemeClass. The
-     * decoders point into the sibling image members, so a cached
-     * decoder must not outlive a move/copy of this object: the
-     * wrapper drops the cache on both (decoder() rebuilds lazily at
-     * the object's final address; the engine pre-warms cache entries,
-     * whose heap address is stable, before publishing them).
-     */
-    struct DecoderSlots
-    {
-        mutable std::array<std::unique_ptr<const codec::Decoder>, 3>
-            byScheme;
-        DecoderSlots() = default;
-        DecoderSlots(DecoderSlots &&) noexcept {}
-        DecoderSlots(const DecoderSlots &) noexcept {}
-        DecoderSlots &
-        operator=(DecoderSlots &&) noexcept
-        {
-            byScheme = {};
-            return *this;
-        }
-        DecoderSlots &
-        operator=(const DecoderSlots &) noexcept
-        {
-            byScheme = {};
-            return *this;
-        }
-    };
-    DecoderSlots decoderSlots_;
 };
-
-/**
- * Run the full toolchain over tinkerc source text, building every
- * artefact (minus streams when config.buildAllStreamConfigs is off).
- * Thin wrapper over the engine's serial path; kept for callers that
- * genuinely want everything. Selective/parallel/cached builds live in
- * core/artifact_engine.hh.
- */
-Artifacts buildArtifacts(const std::string &source,
-                         const PipelineConfig &config = {});
 
 /** The image the fetch organisation of @p scheme reads from. */
 const isa::Image &imageFor(const Artifacts &artifacts,

@@ -263,31 +263,6 @@ simulateBackEnd(const Att &att, const isa::Image &image,
         stats.atbStallCycles += causes.atbMiss;
         stats.l0SavedCycles += stall_table.l0Saved[outcome];
 
-        if (config.trace.enabled &&
-            (config.trace.sampleEvery <= 1 ||
-             event_index % config.trace.sampleEvery == 0)) {
-            FetchTraceRecord rec;
-            rec.index = event_index;
-            rec.block = block;
-            rec.cycles = std::uint32_t(block_cycles);
-            rec.stallCycles = std::uint32_t(stall);
-            rec.mispredictStall = std::uint32_t(causes.mispredict);
-            rec.refillStall = std::uint32_t(causes.l1Refill);
-            rec.decodeStall = std::uint32_t(causes.decodeStage);
-            rec.atbStall = std::uint32_t(causes.atbMiss);
-            rec.atbHit = atb_hit;
-            rec.l1Hit = l1_hit;
-            rec.l0Hit = l0_hit;
-            rec.predictionCorrect = prediction_correct;
-            stats.trace.record(config.trace, rec);
-            stats.stallHistogram.sample(std::int64_t(stall));
-            stats.mispredictHistogram.sample(
-                std::int64_t(causes.mispredict));
-            stats.refillHistogram.sample(std::int64_t(causes.l1Refill));
-            stats.decodeHistogram.sample(
-                std::int64_t(causes.decodeStage));
-            stats.atbHistogram.sample(std::int64_t(causes.atbMiss));
-        }
         const std::uint64_t events_done = event_index + 1;
         if (trace_sink && events_done % kCounterInterval == 0) {
             // Counter tracks: running stall rate (stall cycles per
@@ -335,33 +310,6 @@ simulateBackEnd(const Att &att, const isa::Image &image,
 }
 
 } // namespace
-
-void
-FetchTrace::record(const FetchTraceOptions &options,
-                   const FetchTraceRecord &rec)
-{
-    ++recorded_;
-    if (options.ringCapacity == 0 ||
-        records_.size() < options.ringCapacity) {
-        records_.push_back(rec);
-        return;
-    }
-    // Ring full: overwrite the oldest record.
-    records_[head_] = rec;
-    head_ = (head_ + 1) % records_.size();
-}
-
-std::vector<FetchTraceRecord>
-FetchTrace::inOrder() const
-{
-    std::vector<FetchTraceRecord> out;
-    out.reserve(records_.size());
-    out.insert(out.end(), records_.begin() + std::ptrdiff_t(head_),
-               records_.end());
-    out.insert(out.end(), records_.begin(),
-               records_.begin() + std::ptrdiff_t(head_));
-    return out;
-}
 
 FetchBatch::FetchBatch(const isa::VliwProgram &program,
                        const sim::BlockTrace &trace)

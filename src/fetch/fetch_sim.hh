@@ -19,8 +19,8 @@
  *    emits one packed bit per event per structure;
  *  - a back end, one pass per configuration: the L1 BankedCache, the
  *    bus model and the Table-1 stall breakdown, reading the front
- *    end's bits. Every recorder (FetchTrace, stall histograms,
- *    Perfetto counters, cachestats, hotstats) hooks into this loop.
+ *    end's bits. Every recorder (Perfetto counters, cachestats,
+ *    hotstats) hooks into this loop.
  *
  * simulateFetch() is the single-configuration entry point; a
  * FetchBatch runs many configurations over one trace and shares each
@@ -45,69 +45,8 @@
 #include "isa/program.hh"
 #include "power/bitflips.hh"
 #include "sim/emulator.hh"
-#include "support/stats.hh"
 
 namespace tepic::fetch {
-
-/**
- * One recorded block fetch: everything the cycle model saw. This is
- * the paper-facing per-access granularity (cf. the access-pattern
- * traces of Ozturk et al. and Touché's per-access counters) that the
- * aggregate FetchStats hide.
- */
-struct FetchTraceRecord
-{
-    std::uint64_t index = 0;       ///< position in the dynamic trace
-    std::uint32_t block = 0;
-    std::uint32_t cycles = 0;      ///< total charged, incl. ATB stall
-    std::uint32_t stallCycles = 0; ///< cycles beyond the n_mops stream
-    // Per-cause split of stallCycles (the Table-1 taxonomy); the four
-    // fields tile stallCycles exactly, per record.
-    std::uint32_t mispredictStall = 0;
-    std::uint32_t refillStall = 0;
-    std::uint32_t decodeStall = 0;
-    std::uint32_t atbStall = 0;
-    bool atbHit = false;
-    bool l1Hit = false;
-    bool l0Hit = false;            ///< meaningful for kCompressed only
-    bool predictionCorrect = false;
-};
-
-/** How (and how much of) the per-block trace to record. */
-struct FetchTraceOptions
-{
-    bool enabled = false;
-    std::size_t ringCapacity = 4096;  ///< 0 = unbounded
-    std::uint64_t sampleEvery = 1;    ///< record every Nth event
-};
-
-/** Bounded (ring) or unbounded store of FetchTraceRecords. */
-class FetchTrace
-{
-  public:
-    void record(const FetchTraceOptions &options,
-                const FetchTraceRecord &rec);
-
-    /** Records in chronological order (unwinds the ring). */
-    std::vector<FetchTraceRecord> inOrder() const;
-
-    /** Records accepted, including ones later overwritten. */
-    std::uint64_t recorded() const { return recorded_; }
-
-    /** Records lost to ring overwrite. */
-    std::uint64_t
-    dropped() const
-    {
-        return recorded_ - records_.size();
-    }
-
-    std::size_t size() const { return records_.size(); }
-
-  private:
-    std::vector<FetchTraceRecord> records_;
-    std::size_t head_ = 0;  ///< next overwrite slot once full
-    std::uint64_t recorded_ = 0;
-};
 
 struct FetchConfig
 {
@@ -118,7 +57,6 @@ struct FetchConfig
     unsigned l0CapacityOps = 32;  ///< compressed scheme only
     unsigned busWidthBytes = 8;
     CyclePenalties penalties;
-    FetchTraceOptions trace;      ///< off by default: zero-cost loop
     /**
      * Cache-behavior recording (cache_stats.hh): 3C miss
      * classification, reuse distances, per-set heatmaps. Off by
@@ -192,24 +130,6 @@ struct FetchStats
      *  deliberately outside the tiling sum). Compressed only. */
     std::uint64_t l0SavedCycles = 0;
 
-    /**
-     * Per-block stall-cycle distributions (overflow bucket at 64) —
-     * the total and one histogram per cause — and the per-block
-     * record trace; all populated only when FetchConfig::trace.enabled
-     * — the hot loop pays one branch otherwise.
-     */
-    support::Histogram stallHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram mispredictHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram refillHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram decodeHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    support::Histogram atbHistogram =
-        support::Histogram(kStallHistogramOverflow);
-    FetchTrace trace;
-
     /** Cache-behavior record; recorded only when
      *  FetchConfig::cacheStats.enabled (and the build has tracing
      *  compiled in). See cache_stats.hh for the tiling contract. */
@@ -219,8 +139,6 @@ struct FetchStats
      *  FetchConfig::hotStats.enabled (and the build has tracing
      *  compiled in). See hot_stats.hh for the tiling contract. */
     HotStats hotStats;
-
-    static constexpr std::int64_t kStallHistogramOverflow = 64;
 
     double
     ipc() const

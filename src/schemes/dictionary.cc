@@ -111,8 +111,7 @@ class DictionaryBlockDecoder final : public codec::Decoder
 {
   public:
     explicit DictionaryBlockDecoder(const DictionaryImage &compressed)
-        : compressed_(&compressed),
-          fingerprint_(codec::imageFingerprint(compressed.image))
+        : compressed_(&compressed)
     {
     }
 
@@ -122,8 +121,6 @@ class DictionaryBlockDecoder final : public codec::Decoder
     {
         return compressed_->image.blocks.size();
     }
-
-    std::uint64_t fingerprint() const override { return fingerprint_; }
 
     void
     decodeBlockInto(isa::BlockId id,
@@ -152,7 +149,6 @@ class DictionaryBlockDecoder final : public codec::Decoder
 
   private:
     const DictionaryImage *compressed_;
-    std::uint64_t fingerprint_;
 };
 
 } // namespace

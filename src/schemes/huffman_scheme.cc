@@ -236,8 +236,7 @@ class HuffmanBlockDecoder final : public codec::Decoder
 {
   public:
     explicit HuffmanBlockDecoder(const CompressedImage &compressed)
-        : compressed_(&compressed),
-          fingerprint_(codec::imageFingerprint(compressed.image))
+        : compressed_(&compressed)
     {
     }
 
@@ -252,8 +251,6 @@ class HuffmanBlockDecoder final : public codec::Decoder
     {
         return compressed_->image.blocks.size();
     }
-
-    std::uint64_t fingerprint() const override { return fingerprint_; }
 
     void
     decodeBlockInto(isa::BlockId id,
@@ -293,7 +290,6 @@ class HuffmanBlockDecoder final : public codec::Decoder
 
   private:
     const CompressedImage *compressed_;
-    std::uint64_t fingerprint_;
 };
 
 } // namespace

@@ -261,8 +261,7 @@ class TailoredBlockDecoder final : public codec::Decoder
   public:
     TailoredBlockDecoder(const TailoredIsa &isa,
                          const isa::Image &image)
-        : isa_(&isa), image_(&image),
-          fingerprint_(codec::imageFingerprint(image))
+        : isa_(&isa), image_(&image)
     {
     }
 
@@ -272,8 +271,6 @@ class TailoredBlockDecoder final : public codec::Decoder
     {
         return image_->blocks.size();
     }
-
-    std::uint64_t fingerprint() const override { return fingerprint_; }
 
     void
     decodeBlockInto(isa::BlockId id,
@@ -285,7 +282,6 @@ class TailoredBlockDecoder final : public codec::Decoder
   private:
     const TailoredIsa *isa_;
     const isa::Image *image_;
-    std::uint64_t fingerprint_;
 };
 
 } // namespace

@@ -2,13 +2,14 @@
  * @file
  * Tests for the unified codec layer: the canonical-Huffman LUT decode
  * fast path against the per-bit reference walk (differential, over
- * randomized tables), the codec::Decoder implementations against the
- * compiled program, and the engine's kDecoder memoization.
+ * randomized tables) and the codec::Decoder implementations against
+ * the compiled program.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "codec/codec.hh"
@@ -156,10 +157,9 @@ firArtifacts()
     static const core::Artifacts instance =
         core::ArtifactEngine::buildUncached(
             workloads::workloadByName("fir").source,
-            ArtifactRequest{ArtifactKind::kBase, ArtifactKind::kFull,
-                            ArtifactKind::kTailored,
-                            ArtifactKind::kTrace,
-                            ArtifactKind::kDecoder},
+            ArtifactRequest{ArtifactKind::kBase, ArtifactKind::kByte,
+                            ArtifactKind::kStream, ArtifactKind::kFull,
+                            ArtifactKind::kTailored},
             {});
     return instance;
 }
@@ -179,79 +179,20 @@ TEST(Decoder, EverySchemeDecodesBackToTheProgram)
 {
     const auto &a = firArtifacts();
     const auto &program = a.compiled.program;
-    for (auto scheme :
-         {fetch::SchemeClass::kBase, fetch::SchemeClass::kCompressed,
-          fetch::SchemeClass::kTailored}) {
-        const codec::Decoder &decoder = a.decoder(scheme);
-        SCOPED_TRACE(decoder.name());
-        ASSERT_EQ(decoder.blockCount(), program.blocks().size());
+    const std::unique_ptr<codec::Decoder> decoders[] = {
+        codec::makeBaseDecoder(a.baseImage()),
+        codec::makeDecoder(a.byteImage()),
+        codec::makeDecoder(a.streamImage(0)),
+        codec::makeDecoder(a.fullImage()),
+        codec::makeDecoder(a.tailoredIsa(), a.tailoredImage()),
+    };
+    for (const auto &decoder : decoders) {
+        SCOPED_TRACE(decoder->name());
+        ASSERT_EQ(decoder->blockCount(), program.blocks().size());
         for (const auto &blk : program.blocks())
-            EXPECT_EQ(decoder.decodeBlock(blk.id),
+            EXPECT_EQ(decoder->decodeBlock(blk.id),
                       programOps(program, blk.id));
     }
-}
-
-TEST(Decoder, FingerprintsSeparateSchemesAndContents)
-{
-    const auto &a = firArtifacts();
-    const auto base = a.decoder(fetch::SchemeClass::kBase)
-                          .fingerprint();
-    const auto full = a.decoder(fetch::SchemeClass::kCompressed)
-                          .fingerprint();
-    const auto tailored = a.decoder(fetch::SchemeClass::kTailored)
-                              .fingerprint();
-    EXPECT_NE(base, full);
-    EXPECT_NE(base, tailored);
-    EXPECT_NE(full, tailored);
-    // Same image, fresh decoder: identity is content, not object.
-    EXPECT_EQ(codec::makeBaseDecoder(a.baseImage())->fingerprint(),
-              base);
-}
-
-// --- Engine integration ----------------------------------------------
-
-TEST(EngineDecoders, PrewarmedMemoizedAndCached)
-{
-    core::ArtifactEngine engine(1);
-    const std::string source =
-        workloads::workloadByName("matmul").source;
-    const ArtifactRequest request{ArtifactKind::kDecoder};
-
-    const auto built = engine.build(source, request);
-    EXPECT_EQ(engine.stats().decoderBuilds, 3u);
-
-    // kDecoder implies the three fetch-scheme images.
-    EXPECT_TRUE(built->has(ArtifactKind::kBase));
-    EXPECT_TRUE(built->has(ArtifactKind::kFull));
-    EXPECT_TRUE(built->has(ArtifactKind::kTailored));
-
-    // Memoized: repeated access is the same object.
-    const auto &first = built->decoder(fetch::SchemeClass::kBase);
-    EXPECT_EQ(&built->decoder(fetch::SchemeClass::kBase), &first);
-
-    // Cached: a second request rebuilds nothing.
-    const auto again = engine.build(source, request);
-    EXPECT_EQ(again.get(), built.get());
-    EXPECT_EQ(engine.stats().decoderBuilds, 3u);
-
-    // The decoders view this object's images.
-    EXPECT_EQ(built->decoder(fetch::SchemeClass::kCompressed)
-                  .blockCount(),
-              built->fullImage().image.blocks.size());
-}
-
-TEST(EngineDecoders, RequestParsingKnowsDecoder)
-{
-    const auto parsed = ArtifactRequest::parse("base,decoder");
-    EXPECT_TRUE(parsed.has(ArtifactKind::kDecoder));
-    EXPECT_EQ(parsed.toString(), "base,decoder");
-    const auto normalized = parsed.normalized();
-    EXPECT_TRUE(normalized.has(ArtifactKind::kFull));
-    EXPECT_TRUE(normalized.has(ArtifactKind::kTailored));
-    EXPECT_TRUE(ArtifactRequest::all().has(ArtifactKind::kDecoder));
-    EXPECT_EQ(ArtifactRequest::parse(
-                  ArtifactRequest::all().toString()),
-              ArtifactRequest::all());
 }
 
 } // namespace

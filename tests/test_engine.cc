@@ -217,9 +217,10 @@ TEST(ArtifactEngine, MultiThreadOutputIsBitIdenticalToSerial)
 
 TEST(ArtifactEngine, WrapperMatchesEngineOutput)
 {
-    // The legacy value-returning wrapper is a thin shim over the
-    // engine; its images must match a cached engine build exactly.
-    const Artifacts wrapped = core::buildArtifacts(sourceOf("matmul"));
+    // The serial, uncached value-returning path must build the same
+    // images as a cached, pooled engine build.
+    const Artifacts wrapped = ArtifactEngine::buildUncached(
+        sourceOf("matmul"), ArtifactRequest::all(), {});
     ArtifactEngine engine(2);
     const auto engined =
         engine.build(sourceOf("matmul"), ArtifactRequest::all());

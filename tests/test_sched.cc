@@ -7,7 +7,7 @@
  * critical path, per-worker timelines that tile the build window),
  * the determinism contract (the report's "structure" section is
  * byte-identical for any --jobs value), and the ArtifactEngine
- * integration (compile -> scheme -> att/decoder edges, cache hits as
+ * integration (compile -> scheme -> att edges, cache hits as
  * zero-duration records, sched.* metrics counters).
  *
  * sched compiles unconditionally (no tracing dependency), so this
@@ -217,7 +217,7 @@ TEST(Sched, EngineBuildProducesAValidAcyclicDag)
     ASSERT_FALSE(analysis.tasks.empty());
 
     std::uint64_t compiles = 0;
-    std::uint64_t decoders = 0;
+    std::uint64_t atts = 0;
     for (const auto &t : analysis.tasks) {
         EXPECT_TRUE(t.ran) << t.decl.label;
         EXPECT_LE(t.enqueueNs, t.startNs) << t.decl.label;
@@ -232,14 +232,15 @@ TEST(Sched, EngineBuildProducesAValidAcyclicDag)
         } else {
             EXPECT_FALSE(t.decl.deps.empty()) << t.decl.label;
         }
-        if (t.decl.kind == "decoder") {
-            ++decoders;
-            // base + full + tailored images feed the pre-warm.
-            EXPECT_EQ(t.decl.deps.size(), 3u);
+        if (t.decl.kind == "att") {
+            ++atts;
+            // The ATT is built from the Full image alone.
+            ASSERT_EQ(t.decl.deps.size(), 1u);
+            EXPECT_EQ(analysis.tasks[t.decl.deps[0]].decl.kind, "full");
         }
     }
     EXPECT_EQ(compiles, 2u);
-    EXPECT_EQ(decoders, 2u);
+    EXPECT_EQ(atts, 2u);
 
     // The critical path is a real dependency chain rooted at a
     // compile task.
@@ -398,7 +399,7 @@ TEST(Sched, ExportMetricsMatchesTheAnalysis)
               analysis.cacheHits);
     EXPECT_EQ(metrics.counter("sched.tasks.compile"), 1u);
     EXPECT_EQ(metrics.counter("sched.tasks.hit"), 1u);
-    EXPECT_EQ(metrics.counter("sched.tasks.decoder"), 1u);
+    EXPECT_EQ(metrics.counter("sched.tasks.att"), 1u);
 
     // Per-kind counts sum to the task total.
     std::uint64_t by_kind = 0;

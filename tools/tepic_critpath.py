@@ -62,7 +62,6 @@ KIND_COLORS = {
     "full": "#c4ad66",
     "tailored": "#77bedb",
     "att": "#ee854a",
-    "decoder": "#8c613c",
 }
 DEFAULT_COLOR = "#999999"
 
