@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks over the library's hot kernels: bit streams,
- * Huffman encode/decode, cache/ATB accesses, the full compiler, and
- * block-trace simulation. These are performance regression guards for
+ * Huffman encode/decode, cache/ATB accesses, the sweep's back-end
+ * passes, the full compiler, and block-trace simulation. These are performance regression guards for
  * the library itself (not paper reproductions).
  */
 
@@ -12,8 +12,12 @@
 
 #include "codec/codec.hh"
 #include "compiler/driver.hh"
+#include "core/artifact_engine.hh"
+#include "core/pipeline.hh"
+#include "core/sweep.hh"
 #include "fetch/att.hh"
 #include "fetch/banked_cache.hh"
+#include "fetch/fetch_sim.hh"
 #include "huffman/huffman.hh"
 #include "isa/baseline.hh"
 #include "sim/emulator.hh"
@@ -142,6 +146,46 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_CacheAccess);
+
+/**
+ * The sweep's back end: every geometry-group pass of one CI-grid
+ * slice (bimodal predictor, 32-op L0, 64-entry ATB; 3 schemes x 12
+ * cache geometries = 36 points in 6 passes) on fir, 3C on, after its
+ * front ends ran once. Items are priced blocks (trace events x
+ * points).
+ */
+void
+BM_SweepBackEnd(benchmark::State &state)
+{
+    core::ArtifactEngine engine(1);
+    const auto a = engine.build(
+        workloads::workloadByName("fir").source,
+        core::ArtifactRequest{core::ArtifactKind::kTrace,
+                              core::ArtifactKind::kBase,
+                              core::ArtifactKind::kFull,
+                              core::ArtifactKind::kTailored});
+    core::sweep::SweepGrid grid = core::sweep::SweepGrid::ci();
+    grid.l0CapacityOps = {32};
+    grid.atbEntries = {64};
+    grid.predictors = {fetch::PredictorKind::kBimodal};
+    const auto configs = core::sweep::expandConfigs(grid);
+    fetch::FetchBatch batch(a->compiled.program, a->trace());
+    for (const auto &config : configs)
+        batch.add(core::imageFor(*a, config.scheme),
+                  config.fetchConfig(false));
+    for (std::size_t pass = 0; pass < batch.frontEndCount(); ++pass)
+        batch.runFrontEnd(pass);
+    for (auto _ : state) {
+        for (std::size_t pass = 0; pass < batch.backEndCount(); ++pass) {
+            const auto results = batch.runBackEnd(pass, true);
+            benchmark::DoNotOptimize(results.data());
+        }
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(a->trace().events.size()) *
+                            std::int64_t(configs.size()));
+}
+BENCHMARK(BM_SweepBackEnd)->Unit(benchmark::kMillisecond);
 
 void
 BM_CompileWorkload(benchmark::State &state)

@@ -201,22 +201,17 @@ decoderCost(const Artifacts &artifacts, fetch::SchemeClass scheme)
 }
 
 /**
- * The back end of one (workload, config) point over its workload's
- * batch. The 3C split comes from a bare ThreeCClassifier, not the
- * CACHE recorder: the sweep reads nothing else of a CacheStats.
+ * The record of one (workload, config) point from its member result
+ * in its geometry group's back-end pass. The 3C split comes from the
+ * pass's bare ThreeCClassifier, not the CACHE recorder: the sweep
+ * reads nothing else of a CacheStats.
  */
 PointRecord
-evaluatePoint(const std::string &workload, const Artifacts &artifacts,
-              const SweepConfig &config, const fetch::FetchBatch &batch,
-              std::size_t index, bool record_3c)
+makePoint(const std::string &workload, const Artifacts &artifacts,
+          const SweepConfig &config, const fetch::BackEndResult &result,
+          bool record_3c)
 {
-    std::optional<fetch::ThreeCClassifier> three_c;
-    if (record_3c)
-        three_c.emplace(fetch::CacheConfig{config.sets, config.ways,
-                                           config.lineBytes});
-    const fetch::FetchStats stats =
-        batch.runBackEnd(index, three_c ? &*three_c : nullptr);
-
+    const fetch::FetchStats &stats = result.stats;
     PointRecord rec;
     rec.workload = workload;
     rec.config = config;
@@ -241,12 +236,19 @@ evaluatePoint(const std::string &workload, const Artifacts &artifacts,
     m.bytesTransferred = stats.bytesTransferred;
     m.decoderTransistors = decoderCost(artifacts, config.scheme);
     m.cacheRecorded = record_3c;
-    if (three_c) {
-        m.compulsory = three_c->compulsory();
-        m.capacity = three_c->capacity();
-        m.conflict = three_c->conflict();
-    }
+    m.compulsory = result.threeC.compulsory;
+    m.capacity = result.threeC.capacity;
+    m.conflict = result.threeC.conflict;
     return rec;
+}
+
+std::uint64_t
+elapsedMs(std::chrono::steady_clock::time_point from,
+          std::chrono::steady_clock::time_point to)
+{
+    return std::uint64_t(
+        std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
+            .count());
 }
 
 } // namespace
@@ -289,12 +291,16 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
 
     // One fetch batch per workload: its configurations share every
     // front-end pass (ATB + predictor, L0) with their key and one ATT
-    // per image, so the per-point work is the L1/bus/cycle back end.
+    // per image, and every geometry group (the configurations that
+    // differ only in sets, ways and penalties) shares one back-end
+    // pass.
+    const auto front_start = std::chrono::steady_clock::now();
     const std::size_t config_count = out.configs.size();
     const std::size_t workload_count = options.grid.workloads.size();
     std::vector<fetch::FetchBatch> batches;
     batches.reserve(workload_count);
     std::vector<std::pair<std::size_t, std::size_t>> front_ends;
+    std::vector<std::pair<std::size_t, std::size_t>> back_ends;
     for (std::size_t w = 0; w < workload_count; ++w) {
         const Artifacts &a = *artifacts[w];
         fetch::FetchBatch &batch =
@@ -304,9 +310,11 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
                       config.fetchConfig(false));
         for (std::size_t pass = 0; pass < batch.frontEndCount(); ++pass)
             front_ends.emplace_back(w, pass);
+        for (std::size_t pass = 0; pass < batch.backEndCount(); ++pass)
+            back_ends.emplace_back(w, pass);
     }
 
-    // Every task writes only its own slot, so any fan-out is
+    // Every task writes only its own slots, so any fan-out is
     // bit-identical to serial.
     std::optional<support::ThreadPool> pool;
     if (out.jobs > 1)
@@ -323,18 +331,28 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
     fanOut(front_ends.size(), [&](std::size_t i) {
         batches[front_ends[i].first].runFrontEnd(front_ends[i].second);
     });
+    const auto back_start = std::chrono::steady_clock::now();
+    out.frontEndMs = elapsedMs(front_start, back_start);
 
-    // One slot per (workload, config).
-    const std::size_t point_count = config_count * workload_count;
-    out.points.resize(point_count);
-    fanOut(point_count, [&](std::size_t flat) {
-        const std::size_t w = flat / config_count;
-        const std::size_t c = flat % config_count;
-        out.points[flat] =
-            evaluatePoint(options.grid.workloads[w], *artifacts[w],
-                          out.configs[c], batches[w], c,
-                          options.record3c);
+    // One slot per (workload, config); a back-end pass fills the
+    // slots of its group's members.
+    out.points.resize(config_count * workload_count);
+    fanOut(back_ends.size(), [&](std::size_t i) {
+        const auto [w, pass] = back_ends[i];
+        const fetch::FetchBatch &batch = batches[w];
+        const std::vector<fetch::BackEndResult> results =
+            batch.runBackEnd(pass, options.record3c);
+        const std::vector<std::size_t> &members =
+            batch.backEndMembers(pass);
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            const std::size_t c = members[k];
+            out.points[w * config_count + c] = makePoint(
+                options.grid.workloads[w], *artifacts[w], out.configs[c],
+                results[k], options.record3c);
+        }
     });
+    out.backEndMs =
+        elapsedMs(back_start, std::chrono::steady_clock::now());
 
     // Aggregate per configuration across workloads (u64 sums; the
     // flat layout above makes point w of config c addressable).
@@ -376,10 +394,7 @@ runSweep(ArtifactEngine &engine, const SweepOptions &options)
     out.front =
         support::sweep::paretoFront(objective_points, objectives());
 
-    out.wallMs = std::uint64_t(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    out.wallMs = elapsedMs(start, std::chrono::steady_clock::now());
     return out;
 }
 
@@ -583,6 +598,10 @@ reportJson(const SweepResult &result, const std::string &name)
     out += "  \"timing\": {\n";
     out += "    \"jobs\": " + std::to_string(result.jobs) + ",\n";
     out += "    \"wall_ms\": " + std::to_string(result.wallMs) + ",\n";
+    out += "    \"front_end_ms\": " + std::to_string(result.frontEndMs) +
+           ",\n";
+    out += "    \"back_end_ms\": " + std::to_string(result.backEndMs) +
+           ",\n";
     out += "    \"points_per_sec\": " +
            std::to_string(points_per_sec) + "\n";
     out += "  }\n}\n";

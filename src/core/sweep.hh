@@ -12,9 +12,11 @@
  * simulate every (workload, configuration) point over one memoized
  * ArtifactEngine, and emit schema "tepic-sweep-v1". Each workload's
  * points form one fetch::FetchBatch: the ATB/predictor and L0 front
- * ends run once per key, and each point runs only its L1/bus/cycle
- * back end (DESIGN.md §14.1). The result of every point equals a
- * standalone fetch::simulateFetch of it (tested).
+ * ends run once per key, and one L1/bus/cycle back-end pass prices
+ * every point of a geometry group — the points that differ only in
+ * sets, ways and penalty profile (DESIGN.md §14.1). The result of
+ * every point equals a standalone fetch::simulateFetch of it
+ * (tested).
  *
  *  - structure: objectives, the grid, one record per point (sizes,
  *    cycles, exact stall tiling, decoder transistors, bus bit flips,
@@ -24,8 +26,9 @@
  *    ops_delivered * 1e6 / cycles, integer division), so the section
  *    is byte-identical for any --jobs value — a tested guarantee, the
  *    same contract as the artifact engine and the size report.
- *  - timing: wall-clock throughput (jobs, wall_ms, points_per_sec),
- *    band-gated only.
+ *  - timing: wall-clock throughput (jobs, wall_ms, points_per_sec)
+ *    and its per-layer split (front_end_ms: ATT builds and front-end
+ *    passes; back_end_ms: back-end passes), band-gated only.
  *
  * Dominance (support/sweep.hh): a configuration dominates another
  * when it is no worse on all four objectives — total size bits (min),
@@ -34,8 +37,8 @@
  * in dominance order (oriented objective tuple ascending, key as the
  * tie-break) and is invariant under point evaluation order.
  *
- * Determinism notes: every front-end pass and every point is
- * evaluated into a pre-assigned slot (ThreadPool::parallelFor,
+ * Determinism notes: every front-end pass and every back-end pass
+ * is evaluated into pre-assigned slots (ThreadPool::parallelFor,
  * jobs == 1 runs strictly serially on the caller); back ends only
  * read the shared front-end bits; aggregation and front construction
  * happen on the calling thread in grid order. Configurations are
@@ -239,6 +242,8 @@ struct SweepResult
                                      ///< order
     unsigned jobs = 1;               ///< timing section only
     std::uint64_t wallMs = 0;        ///< timing section only
+    std::uint64_t frontEndMs = 0;    ///< timing section only
+    std::uint64_t backEndMs = 0;     ///< timing section only
 };
 
 /**

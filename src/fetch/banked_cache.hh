@@ -106,6 +106,16 @@ struct CacheAccess
     bool hit = false;
     std::uint32_t blockLines = 0;   ///< lines the block spans
     std::uint32_t linesFilled = 0;  ///< lines brought in on a miss
+    /**
+     * The block's LRU depth: the largest pre-access LRU rank in its
+     * set (0 = most recent) over the block's lines, or `ways` when a
+     * line was absent. Every access leaves all of the block's lines
+     * most recent in the order first..last, on a hit and on a miss
+     * alike, so each set holds the top of one recency stack whatever
+     * its way count (LRU inclusion): a cache of the same sets and
+     * W <= ways ways hits this access iff depth < W.
+     */
+    std::uint32_t depth = 0;
 };
 
 /**
@@ -151,12 +161,14 @@ class BankedCache
     std::uint64_t linesFilled() const { return linesFilled_; }
 
   private:
+    /** No line has this id (line ids are below 2^32). */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t(0);
+
     struct Way
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        std::uint64_t uses = 0;  ///< re-references since fill
+        std::uint64_t tag = kNoLine;
+        std::uint64_t lastUse = 0;  ///< 0 = never filled (invalid)
+        std::uint64_t uses = 0;     ///< re-references since fill
     };
 
     CacheConfig config_;
@@ -168,7 +180,9 @@ class BankedCache
     std::uint64_t misses_ = 0;
     std::uint64_t linesFilled_ = 0;
 
-    bool lookupLine(std::uint64_t line_id);
+    /** The line's LRU rank in its set (ways when absent); a hit
+     *  makes it the most recent. */
+    std::uint32_t lookupLine(std::uint64_t line_id);
     void fillLine(std::uint64_t line_id);
 };
 

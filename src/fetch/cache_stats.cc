@@ -327,9 +327,10 @@ CacheStats
 CacheStatsRecorder::finish()
 {
     stats_.recorded = true;
-    stats_.compulsory = threeC_.compulsory();
-    stats_.capacity = threeC_.capacity();
-    stats_.conflict = threeC_.conflict();
+    const ThreeCSplit &split = threeC_.split();
+    stats_.compulsory = split.compulsory;
+    stats_.capacity = split.capacity;
+    stats_.conflict = split.conflict;
     stats_.residentAtEnd = stats_.lineFills - stats_.lineEvictions;
     TEPIC_ASSERT(stats_.residentAtEnd <=
                      std::uint64_t(stats_.sets) * stats_.ways,

@@ -1,7 +1,9 @@
 #include "fetch/fetch_sim.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "support/logging.hh"
@@ -309,6 +311,239 @@ simulateBackEnd(const Att &att, const isa::Image &image,
     return stats;
 }
 
+/** Whether @p config records anything, which only the
+ *  per-configuration loop does. */
+bool
+recorded(const FetchConfig &config)
+{
+    return config.cacheStats.enabled || config.hotStats.enabled;
+}
+
+/**
+ * One geometry group's back-end pass (FetchBatch): the members of
+ * @p configs share the image, scheme, line size, front-end streams
+ * and bus width, and differ only in sets, ways and penalties. Every
+ * member's result equals simulateBackEnd() of it:
+ *
+ *  - L1: one BankedCache per set count, with the most ways of that
+ *    set count; a member of W ways hits iff the block's LRU depth is
+ *    below W (banked_cache.hh);
+ *  - 3C: one classifier, one shadow per distinct capacity;
+ *  - stall: the Table-1 stall of a block depends only on its outcome
+ *    and, linearly, its line count, so the pass tallies the count
+ *    and the sum of n_lines - 1 of each outcome (once for all
+ *    geometries, plus each geometry's L1 misses), and each member
+ *    prices them with its own penalties at the end;
+ *  - bus: each geometry has its own bus, fed every ATT upload and
+ *    its own miss refills in trace order.
+ */
+std::vector<BackEndResult>
+simulateGroup(const Att &att, const isa::Image &image,
+              const sim::BlockTrace &trace, const AtbStream &atb,
+              const L0Stream *l0,
+              const std::vector<const FetchConfig *> &configs,
+              bool record_3c)
+{
+    const FetchConfig &lead = *configs.front();
+    const bool compressed = lead.scheme == SchemeClass::kCompressed;
+    TEPIC_ASSERT(!compressed || l0 != nullptr,
+                 "the compressed scheme needs an L0 front end");
+
+    /** Everything one (sets, ways) geometry sees; members that differ
+     *  only in penalties share it. */
+    struct Geometry
+    {
+        unsigned sets = 0;
+        unsigned ways = 0;
+        std::size_t cache = 0;   ///< index into caches
+        unsigned shadow = 0;     ///< 3C capacity index
+        power::BusModel bus;
+        // L1 misses and their Σ (n_lines - 1), by prediction outcome.
+        std::uint64_t misses[2] = {};
+        std::uint64_t missExtraLines[2] = {};
+        std::uint64_t linesTransferred = 0;
+        ThreeCSplit threeC;
+    };
+    std::vector<Geometry> geometries;
+    std::vector<std::size_t> member_geometry;
+    std::vector<CacheConfig> l1_configs;
+    std::vector<std::uint32_t> capacities;
+    for (const FetchConfig *config : configs) {
+        const CacheConfig &cache = config->cache;
+        const auto it = std::find_if(
+            geometries.begin(), geometries.end(),
+            [&](const Geometry &g) {
+                return g.sets == cache.sets && g.ways == cache.ways;
+            });
+        member_geometry.push_back(
+            std::size_t(it - geometries.begin()));
+        if (it != geometries.end())
+            continue;
+        const auto l1 = std::size_t(
+            std::find_if(l1_configs.begin(), l1_configs.end(),
+                         [&](const CacheConfig &c) {
+                             return c.sets == cache.sets;
+                         }) -
+            l1_configs.begin());
+        if (l1 == l1_configs.size())
+            l1_configs.push_back(cache);
+        l1_configs[l1].ways = std::max(l1_configs[l1].ways, cache.ways);
+        Geometry &g = geometries.emplace_back();
+        g.sets = cache.sets;
+        g.ways = cache.ways;
+        g.cache = l1;
+        g.bus = power::BusModel(lead.busWidthBytes);
+        capacities.push_back(cache.sets * cache.ways);
+    }
+    std::sort(capacities.begin(), capacities.end());
+    capacities.erase(std::unique(capacities.begin(), capacities.end()),
+                     capacities.end());
+    for (Geometry &g : geometries) {
+        g.shadow = unsigned(
+            std::lower_bound(capacities.begin(), capacities.end(),
+                             g.sets * g.ways) -
+            capacities.begin());
+    }
+    std::vector<BankedCache> caches;
+    caches.reserve(l1_configs.size());
+    for (const CacheConfig &config : l1_configs)
+        caches.emplace_back(config);
+    std::vector<std::uint32_t> depth(caches.size());
+    std::optional<ThreeCClassifier> three_c;
+    if (record_3c)
+        three_c.emplace(lead.cache.lineBytes, capacities);
+
+    const LineMap lines(lead.cache);
+    const std::size_t att_bytes = (att.entryBits() + 7) / 8;
+
+    // What every geometry sees alike: the outcome counts and
+    // Σ (n_lines - 1) with every L1 access tallied as a hit (each
+    // geometry moves its misses across when it is priced).
+    std::uint64_t shared_outcomes[8] = {};
+    std::uint64_t shared_extra_lines[8] = {};
+    std::uint64_t ideal_cycles = 0;
+    std::uint64_t ops_delivered = 0;
+    std::uint64_t predictions_correct = 0;
+    std::uint64_t atb_miss_events = 0;
+    std::uint64_t l0_hits = 0;
+
+    const std::uint64_t n = trace.events.size();
+    for (std::uint64_t event_index = 0; event_index < n; ++event_index) {
+        const isa::BlockId block = trace.events[event_index].block;
+        const AttEntry &entry = att.entry(block);
+        ideal_cycles += entry.numMops;
+        ops_delivered += entry.numOps;
+        const bool prediction_correct = atb.correct[event_index];
+        predictions_correct += prediction_correct;
+
+        if (!atb.hit[event_index]) {
+            ++atb_miss_events;
+            const auto fill = std::uint8_t(0xa5 ^ (block & 0xff));
+            for (Geometry &g : geometries)
+                g.bus.transferFill(fill, att_bytes);
+        }
+
+        if (compressed && l0->hit[event_index]) {
+            ++l0_hits;
+            const std::uint32_t n_lines =
+                entry.byteSize > 0
+                    ? lines.span(entry.byteAddress, entry.byteSize)
+                    : 1;
+            const unsigned outcome =
+                StallTable::index(prediction_correct, true, true);
+            ++shared_outcomes[outcome];
+            shared_extra_lines[outcome] += n_lines - 1;
+            continue;
+        }
+
+        std::uint32_t n_lines = 0;
+        for (std::size_t k = 0; k < caches.size(); ++k) {
+            const CacheAccess access =
+                caches[k].accessBlock(entry.byteAddress, entry.byteSize);
+            depth[k] = access.depth;
+            n_lines = access.blockLines;
+        }
+        ThreeCClassifier::Probe probe;
+        if (three_c)
+            probe = three_c->touchBlock(entry.byteAddress, entry.byteSize);
+        // Miss traffic: the block's bytes cross the bus.
+        const std::size_t begin = entry.byteAddress;
+        const std::size_t end = std::min<std::size_t>(
+            begin + std::size_t(n_lines) * lead.cache.lineBytes,
+            image.bytes.size());
+        const unsigned outcome =
+            StallTable::index(prediction_correct, true, false);
+        ++shared_outcomes[outcome];
+        shared_extra_lines[outcome] += n_lines - 1;
+        for (Geometry &g : geometries) {
+            if (depth[g.cache] < g.ways)
+                continue;
+            ++g.misses[prediction_correct];
+            g.missExtraLines[prediction_correct] += n_lines - 1;
+            g.linesTransferred += n_lines;
+            if (begin < end)
+                g.bus.transfer({image.bytes.data() + begin, end - begin});
+            if (three_c)
+                ThreeCClassifier::countMiss(probe, g.shadow, g.threeC);
+        }
+    }
+
+    // Price every member's outcome counts with its own penalties.
+    std::vector<BackEndResult> out(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const FetchConfig &config = *configs[i];
+        const Geometry &g = geometries[member_geometry[i]];
+        const StallTable table(config.scheme, config.penalties);
+        std::uint64_t counts[8];
+        std::uint64_t extras[8];
+        std::copy(std::begin(shared_outcomes), std::end(shared_outcomes),
+                  counts);
+        std::copy(std::begin(shared_extra_lines),
+                  std::end(shared_extra_lines), extras);
+        for (unsigned correct = 0; correct < 2; ++correct) {
+            const unsigned hit = StallTable::index(correct, true, false);
+            const unsigned miss = StallTable::index(correct, false, false);
+            counts[hit] -= g.misses[correct];
+            counts[miss] += g.misses[correct];
+            extras[hit] -= g.missExtraLines[correct];
+            extras[miss] += g.missExtraLines[correct];
+        }
+        FetchStats &s = out[i].stats;
+        for (unsigned outcome = 0; outcome < 8; ++outcome) {
+            const std::uint64_t count = counts[outcome];
+            const std::uint64_t extra_lines = extras[outcome];
+            const StallBreakdown &one = table.oneLine[outcome];
+            s.mispredictStallCycles += count * one.mispredict;
+            s.refillStallCycles += count * one.l1Refill +
+                                   extra_lines *
+                                       table.refillPerLine[outcome];
+            s.decodeStallCycles += count * one.decodeStage;
+            s.l0SavedCycles += count * table.l0Saved[outcome];
+            (outcome & 2 ? s.l1Hits : s.l1Misses) += count;
+        }
+        s.atbStallCycles =
+            atb_miss_events * config.penalties.atbMissPenalty;
+        s.stallCycles = s.mispredictStallCycles + s.refillStallCycles +
+                        s.decodeStallCycles + s.atbStallCycles;
+        s.blocksFetched = n;
+        s.idealCycles = ideal_cycles;
+        s.cycles = ideal_cycles + s.stallCycles;
+        s.opsDelivered = ops_delivered;
+        s.predictionsCorrect = predictions_correct;
+        s.predictionsWrong = n - predictions_correct;
+        s.l0Hits = l0_hits;
+        s.l0Misses = compressed ? n - l0_hits : 0;
+        s.atbHits = atb.hits;
+        s.atbMisses = atb.misses;
+        s.linesTransferred = g.linesTransferred;
+        s.busBeats = g.bus.beats();
+        s.busBitFlips = g.bus.bitFlips();
+        s.bytesTransferred = g.bus.bytesTransferred();
+        out[i].threeC = g.threeC;
+    }
+    return out;
+}
+
 } // namespace
 
 FetchBatch::FetchBatch(const isa::VliwProgram &program,
@@ -361,8 +596,30 @@ FetchBatch::add(const isa::Image &image, const FetchConfig &config)
             l0Passes_.push_back({config.l0CapacityOps, entry.att, {}});
     }
 
+    // Geometry groups: configurations equal in everything but sets,
+    // ways and penalties share a back-end pass; a recorder hooks the
+    // per-configuration loop, so its configuration stays alone.
+    const std::size_t index = configs_.size();
+    const auto group_it = std::find_if(
+        groups_.begin(), groups_.end(),
+        [&](const std::vector<std::size_t> &group) {
+            const Config &lead = configs_[group.front()];
+            return !recorded(config) && !recorded(lead.config) &&
+                   lead.att == entry.att &&
+                   lead.atbPass == entry.atbPass &&
+                   lead.l0Pass == entry.l0Pass &&
+                   lead.config.scheme == config.scheme &&
+                   lead.config.cache.lineBytes ==
+                       config.cache.lineBytes &&
+                   lead.config.busWidthBytes == config.busWidthBytes;
+        });
+    if (group_it == groups_.end())
+        groups_.push_back({index});
+    else
+        group_it->push_back(index);
+
     configs_.push_back(std::move(entry));
-    return configs_.size() - 1;
+    return index;
 }
 
 void
@@ -379,9 +636,39 @@ FetchBatch::runFrontEnd(std::size_t pass)
     l0.stream = runL0FrontEnd(atts_[l0.att], trace_, l0.capacityOps);
 }
 
+std::vector<BackEndResult>
+FetchBatch::runBackEnd(std::size_t pass, bool three_c) const
+{
+    TEPIC_ASSERT(pass < groups_.size(), "no back-end pass ", pass);
+    const std::vector<std::size_t> &members = groups_[pass];
+    const Config &lead = configs_[members.front()];
+    if (recorded(lead.config)) {
+        std::optional<ThreeCClassifier> classifier;
+        if (three_c)
+            classifier.emplace(lead.config.cache);
+        BackEndResult result;
+        result.stats = runConfig(members.front(),
+                                 classifier ? &*classifier : nullptr);
+        if (classifier)
+            result.threeC = classifier->split();
+        return {result};
+    }
+    std::vector<const FetchConfig *> configs;
+    configs.reserve(members.size());
+    for (std::size_t index : members)
+        configs.push_back(&configs_[index].config);
+    const L0Stream *l0 =
+        lead.config.scheme == SchemeClass::kCompressed
+            ? &l0Passes_[lead.l0Pass].stream
+            : nullptr;
+    return simulateGroup(atts_[lead.att], *images_[lead.att], trace_,
+                         atbPasses_[lead.atbPass].stream, l0, configs,
+                         three_c);
+}
+
 FetchStats
-FetchBatch::runBackEnd(std::size_t index,
-                       ThreeCClassifier *three_c) const
+FetchBatch::runConfig(std::size_t index,
+                      ThreeCClassifier *three_c) const
 {
     TEPIC_ASSERT(index < configs_.size(), "no configuration ", index);
     const Config &entry = configs_[index];
@@ -402,7 +689,7 @@ simulateFetch(const isa::Image &image, const isa::VliwProgram &program,
     batch.add(image, config);
     for (std::size_t pass = 0; pass < batch.frontEndCount(); ++pass)
         batch.runFrontEnd(pass);
-    return batch.runBackEnd(0);
+    return batch.runConfig(0);
 }
 
 } // namespace tepic::fetch

@@ -17,14 +17,17 @@
  *    by block id and never see the encoded image) and the L0 buffer
  *    (keyed on the image's per-block op counts + L0 capacity). It
  *    emits one packed bit per event per structure;
- *  - a back end, one pass per configuration: the L1 BankedCache, the
- *    bus model and the Table-1 stall breakdown, reading the front
- *    end's bits. Every recorder (Perfetto counters, cachestats,
- *    hotstats) hooks into this loop.
+ *  - a back end: the L1 BankedCache, the bus model and the Table-1
+ *    stall breakdown, reading the front end's bits. It runs either
+ *    per configuration, the loop every recorder (Perfetto counters,
+ *    cachestats, hotstats) hooks into, or once per geometry group:
+ *    one pass prices every set count, way count, 3C capacity and
+ *    penalty profile of configurations that share everything else.
  *
  * simulateFetch() is the single-configuration entry point; a
- * FetchBatch runs many configurations over one trace and shares each
- * front-end pass between all the configurations with its key.
+ * FetchBatch runs many configurations over one trace, shares each
+ * front-end pass between all the configurations with its key and
+ * each back-end pass between the members of a geometry group.
  */
 
 #ifndef TEPIC_FETCH_FETCH_SIM_HH
@@ -195,14 +198,30 @@ struct L0Stream
     std::vector<std::uint32_t> occupancy;
 };
 
+/** One member's result of a geometry group's back-end pass. */
+struct BackEndResult
+{
+    FetchStats stats;
+    ThreeCSplit threeC;  ///< zero unless the pass classified 3C
+};
+
 /**
  * Many fetch configurations over one program's trace. add() each
  * (image, config); run every front-end pass (distinct passes may run
- * concurrently); then run each configuration's back end (concurrent
- * calls are safe). One ATT is built per distinct image, one ATB pass
- * per distinct (ATB entries, predictor) and one L0 pass per distinct
- * (image, L0 capacity) among the compressed configurations. The
- * images, program and trace must outlive the batch.
+ * concurrently); then run every back-end pass (concurrent calls are
+ * safe). One ATT is built per distinct image, one ATB pass per
+ * distinct (ATB entries, predictor) and one L0 pass per distinct
+ * (image, L0 capacity) among the compressed configurations.
+ *
+ * Configurations that differ only in cache sets, cache ways and
+ * penalties form one geometry group and share one back-end pass: one
+ * BankedCache per set count with the group's most ways for it (a
+ * member of W ways hits iff the block's LRU depth < W), one
+ * ThreeCClassifier with a shadow per distinct capacity, per-member
+ * Table-1 outcome counts priced by each member's penalties at the
+ * end, and one bus per member. A configuration with a recorder on is
+ * a group of its own and runs the per-configuration loop. The images,
+ * program and trace must outlive the batch.
  */
 class FetchBatch
 {
@@ -223,13 +242,35 @@ class FetchBatch
     /** Run front-end pass @p pass (0 <= pass < frontEndCount()). */
     void runFrontEnd(std::size_t pass);
 
+    /** Back-end passes (geometry groups) the added configurations
+     *  need. */
+    std::size_t backEndCount() const { return groups_.size(); }
+
+    /** The configuration indices of back-end pass @p pass, in add()
+     *  order. */
+    const std::vector<std::size_t> &
+    backEndMembers(std::size_t pass) const
+    {
+        return groups_[pass];
+    }
+
     /**
-     * The back end of configuration @p index, after every front-end
-     * pass ran. When @p three_c is set, every L1 access is also
-     * classified into it (the sweep's 3C split, without a recorder).
+     * Back-end pass @p pass, after every front-end pass ran: one
+     * result per member, in backEndMembers() order. With @p three_c
+     * every member's L1 misses are also split 3C (without a
+     * recorder).
      */
-    FetchStats runBackEnd(std::size_t index,
-                          ThreeCClassifier *three_c = nullptr) const;
+    std::vector<BackEndResult> runBackEnd(std::size_t pass,
+                                          bool three_c) const;
+
+    /**
+     * Configuration @p index alone, through the per-configuration
+     * loop that carries the recorders, after every front-end pass
+     * ran. When @p three_c is set, every L1 access is also classified
+     * into it.
+     */
+    FetchStats runConfig(std::size_t index,
+                         ThreeCClassifier *three_c = nullptr) const;
 
   private:
     struct AtbPass
@@ -260,6 +301,7 @@ class FetchBatch
     std::vector<AtbPass> atbPasses_;
     std::vector<L0Pass> l0Passes_;
     std::vector<Config> configs_;
+    std::vector<std::vector<std::size_t>> groups_;  ///< member indices
 };
 
 /**

@@ -258,20 +258,21 @@ TEST(SweepDriver, PointMatchesDirectSimulation)
               point.metrics.cycles);
 }
 
-TEST(SweepDriver, SharedFrontEndMatchesDirectSimulation)
+/**
+ * Sweep @p grid on fir and require every field of every point to
+ * equal a standalone simulateFetch of it with the full recorder on.
+ */
+void
+expectSweepMatchesDirectSimulation(const core::sweep::SweepGrid &grid,
+                                   std::size_t point_count)
 {
-    // The sweep shares ATB/predictor and L0 front-end passes across
-    // configurations, one ATT per image, and classifies 3C without the
-    // CACHE recorder. None of that may show: over the whole CI grid on
-    // fir, every field of every point equals a standalone
-    // simulateFetch of it with the full recorder on.
     core::ArtifactEngine engine(1);
     core::sweep::SweepOptions options;
-    options.grid = core::sweep::SweepGrid::ci();
+    options.grid = grid;
     options.grid.workloads = {"fir"};
     options.jobs = 4;
     const auto result = core::sweep::runSweep(engine, options);
-    ASSERT_EQ(result.points.size(), 288u);
+    ASSERT_EQ(result.points.size(), point_count);
 
     const auto a = engine.build(
         workloads::workloadByName("fir").source,
@@ -347,6 +348,55 @@ TEST(SweepDriver, SharedFrontEndMatchesDirectSimulation)
         for (const auto &[name, field] : fields)
             EXPECT_EQ(point.metrics.*field, want.*field) << name;
     }
+}
+
+TEST(SweepDriver, SharedFrontEndMatchesDirectSimulation)
+{
+    // The sweep shares ATB/predictor and L0 front-end passes across
+    // configurations, one ATT per image, and one back-end pass per
+    // geometry group (every set count, way count and penalty profile
+    // at once), and classifies 3C without the CACHE recorder. None of
+    // that may show: every field of every point equals a standalone
+    // simulateFetch of it with the full recorder on. First the whole
+    // CI grid on fir.
+    expectSweepMatchesDirectSimulation(core::sweep::SweepGrid::ci(),
+                                       288);
+
+    // Then groups whose members differ in all three penalty profiles
+    // and in ways {1, 2, 4}: 3 schemes x 3 sets x 3 ways x 3 profiles.
+    core::sweep::SweepGrid grid;
+    grid.cacheSets = {64, 128, 256};
+    grid.cacheWays = {1, 2, 4};
+    grid.penaltyProfiles = {"paper", "slowmem", "deeppipe"};
+    expectSweepMatchesDirectSimulation(grid, 81);
+}
+
+TEST(SweepDriver, GeometryGroupsShareBackEndPasses)
+{
+    // The CI grid on one workload: 288 points in 48 back-end passes,
+    // one per (scheme, line, L0, ATB, predictor). Penalty profiles
+    // join the existing groups and add no pass.
+    core::ArtifactEngine engine(1);
+    const auto a = engine.build(
+        workloads::workloadByName("fir").source,
+        core::ArtifactRequest{core::ArtifactKind::kTrace,
+                              core::ArtifactKind::kBase,
+                              core::ArtifactKind::kFull,
+                              core::ArtifactKind::kTailored});
+    const auto passes = [&](const core::sweep::SweepGrid &grid,
+                            std::size_t points) {
+        const auto configs = core::sweep::expandConfigs(grid);
+        EXPECT_EQ(configs.size(), points);
+        fetch::FetchBatch batch(a->compiled.program, a->trace());
+        for (const auto &config : configs)
+            batch.add(core::imageFor(*a, config.scheme),
+                      config.fetchConfig(false));
+        return batch.backEndCount();
+    };
+    core::sweep::SweepGrid grid = core::sweep::SweepGrid::ci();
+    EXPECT_EQ(passes(grid, 288), 48u);
+    grid.penaltyProfiles = {"paper", "slowmem", "deeppipe"};
+    EXPECT_EQ(passes(grid, 864), 48u);
 }
 
 TEST(SweepDriver, AggregatesSumWorkloadPoints)

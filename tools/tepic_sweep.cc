@@ -15,6 +15,7 @@
  *   tepic-sweep --workloads=fir --sets=128,256 --ways=1,2
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,6 +27,7 @@
 #include "fetch/predictor.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -151,6 +153,27 @@ parsePredictors(const std::string &csv)
     return out;
 }
 
+/**
+ * Check every name of @p names against @p known (flag @p flag); an
+ * unknown one is a usage error that lists the known names.
+ */
+void
+checkNames(const char *flag, const std::vector<std::string> &names,
+           const std::vector<std::string> &known)
+{
+    for (const std::string &name : names) {
+        if (std::find(known.begin(), known.end(), name) != known.end())
+            continue;
+        std::string list;
+        for (const std::string &k : known)
+            list += (list.empty() ? "" : "|") + k;
+        std::fprintf(stderr, "tepic-sweep: unknown %s name '%s' "
+                     "(expected %s)\n", flag, name.c_str(),
+                     list.c_str());
+        std::exit(2);
+    }
+}
+
 } // namespace
 
 int
@@ -182,9 +205,13 @@ main(int argc, char **argv)
                              "(expected paper|ci)\n", preset.c_str());
                 return 2;
             }
-        } else if (std::strncmp(arg, "--workloads=", 12) == 0)
+        } else if (std::strncmp(arg, "--workloads=", 12) == 0) {
             options.grid.workloads = splitCsv(arg + 12);
-        else if (std::strncmp(arg, "--schemes=", 10) == 0)
+            std::vector<std::string> known;
+            for (const workloads::Workload &w : workloads::allWorkloads())
+                known.push_back(w.name);
+            checkNames("--workloads", options.grid.workloads, known);
+        } else if (std::strncmp(arg, "--schemes=", 10) == 0)
             options.grid.schemes = parseSchemes(arg + 10);
         else if (std::strncmp(arg, "--sets=", 7) == 0)
             options.grid.cacheSets =
@@ -205,8 +232,11 @@ main(int argc, char **argv)
             options.grid.predictors = parsePredictors(arg + 13);
         else if (std::strncmp(arg, "--penalties=", 12) == 0) {
             options.grid.penaltyProfiles = splitCsv(arg + 12);
-            for (const std::string &p : options.grid.penaltyProfiles)
-                core::sweep::penaltyProfileByName(p);  // validates
+            std::vector<std::string> known;
+            for (const auto &profile : core::sweep::penaltyProfiles())
+                known.push_back(profile.name);
+            checkNames("--penalties", options.grid.penaltyProfiles,
+                       known);
         } else if (std::strcmp(arg, "--no-3c") == 0)
             options.record3c = false;
         else if (std::strncmp(arg, "--metrics=", 10) == 0)

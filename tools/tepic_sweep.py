@@ -31,6 +31,9 @@ Validation re-derives everything the C++ driver promises:
     W..xL../l0:../atb:../p:../pen:.."),
   * per aggregate: each metric is the exact sum of its workload
     points, and its ipc_e6 is recomputed from the summed cycles,
+  * the timing section carries the per-layer split (front_end_ms,
+    back_end_ms), which fits inside wall_ms (--compare also accepts a
+    report written before the split existed),
   * the Pareto front: every member exists, no member is dominated by
     any aggregate (the first wrongly-kept member is named together
     with its dominator), every non-dominated aggregate is on the
@@ -55,6 +58,12 @@ SWEEP_SCHEMA = "tepic-sweep-v1"
 OBJECTIVES = (("size_bits", "min"), ("ipc_e6", "max"),
               ("decoder_transistors", "min"), ("bus_bit_flips", "min"))
 
+# The band-gated timing section: the whole run and its per-layer
+# split (front end: ATT builds and ATB/L0 passes; back end: the
+# geometry groups' L1/bus/cycle passes). Reports written before the
+# split existed carry only the first two keys.
+TIMING_KEYS = ("jobs", "wall_ms")
+LAYER_TIMING_KEYS = ("front_end_ms", "back_end_ms")
 STRUCTURE_KEYS = ("objectives", "grid", "config_count", "point_count",
                   "points", "aggregates", "front")
 GRID_KEYS = ("workloads", "schemes", "sets", "ways", "line_bytes",
@@ -113,8 +122,12 @@ def config_key(config):
 # --- validation ------------------------------------------------------
 
 
-def validate_schema(path, doc):
-    """Shape checks (exit 2 on failure); returns the structure."""
+def validate_schema(path, doc, require_layer_timing=True):
+    """Shape checks (exit 2 on failure); returns the structure.
+
+    With require_layer_timing false (--compare), a report without the
+    per-layer timing split still passes; one that has it is checked.
+    """
     if doc.get("schema") != SWEEP_SCHEMA:
         usage_error(f"{path}: schema {doc.get('schema')!r} is not "
                     f"{SWEEP_SCHEMA!r}")
@@ -123,7 +136,17 @@ def validate_schema(path, doc):
     check_keys(path, "report", doc, ("structure", "timing"))
     structure = doc["structure"]
     check_keys(path, "structure", structure, STRUCTURE_KEYS)
-    check_keys(path, "timing", doc["timing"], ("jobs", "wall_ms"))
+    timing = doc["timing"]
+    keys = TIMING_KEYS
+    if require_layer_timing or any(k in timing for k in LAYER_TIMING_KEYS):
+        keys += LAYER_TIMING_KEYS
+    check_keys(path, "timing", timing, keys)
+    for key in keys:
+        check_nonneg_int(path, f"timing['{key}']", timing[key])
+    if keys != TIMING_KEYS and (timing["front_end_ms"] +
+                                timing["back_end_ms"] > timing["wall_ms"]):
+        invariant_error(f"{path}: timing front_end_ms + back_end_ms "
+                        f"exceeds wall_ms")
 
     objs = structure["objectives"]
     if not isinstance(objs, list):
@@ -504,7 +527,7 @@ def compare(path_a, path_b):
     compare_structure(
         path_a, path_b,
         lambda path, doc: validate_invariants(
-            path, validate_schema(path, doc)),
+            path, validate_schema(path, doc, require_layer_timing=False)),
         lambda s: f"{len(s['points'])} points, front {len(s['front'])}",
         "sweep record")
 

@@ -124,7 +124,8 @@ def make_doc():
             # Dominance order: oriented tuples ascending (size first).
             "front": [CFG_COMP, CFG_TAIL, CFG_BASE],
         },
-        "timing": {"jobs": 1, "wall_ms": 5, "points_per_sec": 600},
+        "timing": {"jobs": 1, "wall_ms": 5, "front_end_ms": 1,
+                   "back_end_ms": 3, "points_per_sec": 600},
     }
 
 
@@ -177,6 +178,21 @@ class SweepToolTest(unittest.TestCase):
         result = self.run_tool(self.write("SWEEP_bad.json", doc))
         self.assertEqual(result.returncode, 2, result.stderr)
         self.assertIn("front", result.stderr)
+
+    def test_missing_layer_timing_is_schema_error(self):
+        for key in ("front_end_ms", "back_end_ms"):
+            doc = make_doc()
+            del doc["timing"][key]
+            result = self.run_tool(self.write("SWEEP_bad.json", doc))
+            self.assertEqual(result.returncode, 2, result.stderr)
+            self.assertIn(key, result.stderr)
+
+    def test_layer_timing_must_fit_in_wall(self):
+        doc = make_doc()
+        doc["timing"]["back_end_ms"] = 5
+        result = self.run_tool(self.write("SWEEP_bad.json", doc))
+        self.assertEqual(result.returncode, 1, result.stderr)
+        self.assertIn("wall_ms", result.stderr)
 
     def test_wrong_schema_string(self):
         doc = make_doc()
@@ -304,6 +320,22 @@ class SweepToolTest(unittest.TestCase):
         result = self.run_tool("--compare", a, b)
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("identical structure", result.stdout)
+
+    def test_compare_accepts_report_without_layer_timing(self):
+        older = make_doc()
+        for key in ("front_end_ms", "back_end_ms"):
+            del older["timing"][key]
+        a = self.write("SWEEP_a.json", older)
+        b = self.write("SWEEP_b.json", make_doc())
+        result = self.run_tool("--compare", a, b)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("identical structure", result.stdout)
+        # Half a split is still a schema error.
+        older["timing"]["front_end_ms"] = 1
+        a = self.write("SWEEP_a.json", older)
+        result = self.run_tool("--compare", a, b)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertIn("back_end_ms", result.stderr)
 
     def test_compare_divergent(self):
         doc_b = make_doc()
