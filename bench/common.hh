@@ -6,7 +6,8 @@
  *
  *   1. parse the shared BenchOptions CLI layer (--workloads=,
  *      --schemes=, --jobs=, --trace=, --metrics=) before
- *      google-benchmark sees argv,
+ *      google-benchmark sees argv, and start the recorder sessions
+ *      (startBenchSessions),
  *   2. build the requested artefacts for the requested workloads —
  *      up front, in main, so build logging never interleaves with
  *      benchmark output and build failures surface before timings,
@@ -17,7 +18,8 @@
  *      sections are untouched by machine-dependent iteration counts),
  *   5. hand control to google-benchmark for the timing section, then
  *      flush the --trace= file (timed loops are included in traces —
- *      traces are wall-clock data anyway).
+ *      traces are wall-clock data anyway). Steps 4 and 5 are
+ *      finishBenchMain, which the microbench shares.
  *
  * Each binary declares the artefact kinds it actually consumes via
  * TEPIC_BENCH_MAIN's request argument; the engine builds nothing
@@ -49,6 +51,7 @@
 #include "support/metrics.hh"
 #include "support/profiler.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
@@ -248,7 +251,8 @@ buildAllArtifacts(const BenchOptions &options)
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::shared_ptr<const core::Artifacts>> built;
     {
-        TEPIC_TRACE_SPAN("bench.build_artifacts", "bench");
+        const support::Scope scope(
+            {.span = "bench.build_artifacts", .cat = "bench"});
         built = engine->buildMany(requests);
     }
     const auto elapsed =
@@ -277,15 +281,19 @@ buildAllArtifacts(const BenchOptions &options)
  * for, and BENCH_fetch.json whenever the binary ran fetch
  * simulations. Must run before google-benchmark's timed loops — they
  * re-run fetch sims with machine-dependent iteration counts, which
- * would poison the deterministic counter section. Returns whether
- * every report was written (each failed write already warned).
+ * would poison the deterministic counter section. A binary that
+ * built no artefacts (the microbench) reports no engine counters.
+ * Returns whether every report was written (each failed write
+ * already warned).
  */
 inline bool
 reportBenchSummary(const BenchOptions &options)
 {
     bool ok = true;
     auto &metrics = support::MetricsRegistry::global();
-    benchEngine().exportMetrics(metrics);
+    const auto &engine = detail::engineSlot();
+    if (engine)
+        engine->exportMetrics(metrics);
 
     // Size provenance: fold every built artifact's ledger into the
     // deterministic size.* counter namespace (suite order, so the
@@ -310,9 +318,11 @@ reportBenchSummary(const BenchOptions &options)
         }
     }
 
-    const auto stats = benchEngine().stats();
-    TEPIC_INFORM("[bench] engine cache: ", stats.cacheHits, " hits / ",
-                 stats.cacheMisses, " misses");
+    if (engine) {
+        const auto stats = engine->stats();
+        TEPIC_INFORM("[bench] engine cache: ", stats.cacheHits,
+                     " hits / ", stats.cacheMisses, " misses");
+    }
     for (const auto &[name, stat] : metrics.timingsSnapshot()) {
         TEPIC_INFORM("[bench] phase ", name, ": sum=", stat.sum(),
                      " ms over ", stat.count(), " samples (mean=",
@@ -415,10 +425,47 @@ findArtifacts(const std::string &name)
     return nullptr;
 }
 
+/** Start every recorder session the harness reports on. */
+inline void
+startBenchSessions(const BenchOptions &options)
+{
+    support::prof::startSession();
+    support::sched::startSession(options.jobs);
+    fetch::cachestats::startSession();
+    fetch::hotstats::startSession();
+    if (!options.profCollapsePath.empty())
+        support::prof::startSampling();
+    if (!options.tracePath.empty())
+        support::trace::start(options.tracePath);
+}
+
+/**
+ * After the print phase: write every report (reportBenchSummary),
+ * run google-benchmark's timed loops, then flush the --trace= file
+ * and the collapsed stacks. Returns the process exit code: 1 when
+ * any requested or canonical report could not be written.
+ */
+inline int
+finishBenchMain(const BenchOptions &options, int *argc, char **argv)
+{
+    bool written = reportBenchSummary(options);
+    ::benchmark::Initialize(argc, argv);
+    ::benchmark::RunSpecifiedBenchmarks();
+    if (!options.tracePath.empty())
+        written = support::trace::stop() && written;
+    if (!options.profCollapsePath.empty()) {
+        support::prof::stopSampling();
+        written = support::prof::writeCollapsed(
+                      options.profCollapsePath) &&
+                  written;
+    }
+    return written ? 0 : 1;
+}
+
 /**
  * Standard bench main: parse the shared CLI layer, build the
- * requested artefacts, print the table, then run timings. Exits 1
- * when any requested or canonical report could not be written.
+ * requested artefacts, print the table, then report and run timings
+ * (finishBenchMain).
  */
 #define TEPIC_BENCH_MAIN(print_fn, default_request)                    \
     int                                                                \
@@ -426,29 +473,11 @@ findArtifacts(const std::string &name)
     {                                                                  \
         const auto bench_options = ::tepic::bench::parseBenchOptions(  \
             &argc, argv, (default_request));                           \
-        ::tepic::support::prof::startSession();                        \
-        ::tepic::support::sched::startSession(bench_options.jobs);     \
-        ::tepic::fetch::cachestats::startSession();                    \
-        ::tepic::fetch::hotstats::startSession();                      \
-        if (!bench_options.profCollapsePath.empty())                   \
-            ::tepic::support::prof::startSampling();                   \
-        if (!bench_options.tracePath.empty())                          \
-            ::tepic::support::trace::start(bench_options.tracePath);   \
+        ::tepic::bench::startBenchSessions(bench_options);             \
         ::tepic::bench::buildAllArtifacts(bench_options);              \
         print_fn();                                                    \
-        bool written =                                                 \
-            ::tepic::bench::reportBenchSummary(bench_options);         \
-        ::benchmark::Initialize(&argc, argv);                          \
-        ::benchmark::RunSpecifiedBenchmarks();                         \
-        if (!bench_options.tracePath.empty())                          \
-            written = ::tepic::support::trace::stop() && written;      \
-        if (!bench_options.profCollapsePath.empty()) {                 \
-            ::tepic::support::prof::stopSampling();                    \
-            written = ::tepic::support::prof::writeCollapsed(          \
-                          bench_options.profCollapsePath) &&           \
-                      written;                                         \
-        }                                                              \
-        return written ? 0 : 1;                                        \
+        return ::tepic::bench::finishBenchMain(bench_options, &argc,   \
+                                               argv);                  \
     }
 
 } // namespace tepic::bench

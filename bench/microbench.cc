@@ -226,8 +226,8 @@ recordMicroSentinels()
     auto &m = support::MetricsRegistry::global();
     // The sentinel pass is the microbench's "kernel work": charge it
     // to kBenchKernel so prof.ops_encoded_per_sec has a denominator.
-    support::prof::ProfScope prof(
-        support::prof::Phase::kBenchKernel);
+    const support::Scope kernel(
+        {.phase = support::prof::Phase::kBenchKernel});
 
     // The microbench has no ArtifactEngine DAG, but its sentinel
     // pass is still schedulable work: declare it up front (the
@@ -248,7 +248,7 @@ recordMicroSentinels()
          false});
 
     {
-        support::sched::TaskScope scope(t_bits);
+        const support::Scope scope({}, t_bits);
         support::BitWriter w;
         for (int i = 0; i < 10000; ++i)
             w.writeBits(std::uint64_t(i) & 0x1fff, 13);
@@ -256,7 +256,7 @@ recordMicroSentinels()
     }
 
     {
-        support::sched::TaskScope scope(t_huff);
+        const support::Scope scope({}, t_huff);
         const auto &table = sampleTable();
         support::Rng rng(2);
         support::BitWriter hw;
@@ -280,7 +280,7 @@ recordMicroSentinels()
     }
 
     {
-        support::sched::TaskScope scope(t_cache);
+        const support::Scope scope({}, t_cache);
         fetch::BankedCache cache(
             fetch::CacheConfig::paperCompressed());
         support::Rng cache_rng(7);
@@ -296,13 +296,13 @@ recordMicroSentinels()
     }
 
     const compiler::CompiledProgram compiled = [&] {
-        support::sched::TaskScope scope(t_compile);
+        const support::Scope scope({}, t_compile);
         return compiler::compileSource(
             workloads::workloadByName("compress").source);
     }();
     m.addCounter("micro.compile.ops", compiled.program.opCount());
     {
-        support::sched::TaskScope scope(t_base);
+        const support::Scope scope({}, t_base);
         m.addCounter("micro.baseline.image_bits",
                      isa::buildBaselineImage(compiled.program)
                          .bitSize);
@@ -319,57 +319,12 @@ recordMicroSentinels()
 int
 main(int argc, char **argv)
 {
-    // The shared CLI layer for --metrics=/--log-level= consistency
-    // with the figure benches; no artefacts are requested — the
-    // sentinels build what they need inline.
+    // The shared CLI layer and report writing of the figure benches;
+    // no artefacts are requested — the sentinels build what they
+    // need inline.
     const auto options =
         tepic::bench::parseBenchOptions(&argc, argv, {});
-    support::prof::startSession();
-    support::sched::startSession(options.jobs);
-    fetch::cachestats::startSession();
-    fetch::hotstats::startSession();
-    if (!options.profCollapsePath.empty())
-        support::prof::startSampling();
+    tepic::bench::startBenchSessions(options);
     recordMicroSentinels();
-    // Every report write must succeed, as in TEPIC_BENCH_MAIN: a
-    // failed one has warned and makes the binary exit 1.
-    bool written = true;
-    auto &metrics = support::MetricsRegistry::global();
-    support::prof::exportMetricsTo(metrics);
-    const std::string prof_json =
-        "PROF_" + options.benchName + ".json";
-    written = support::prof::writeReport(prof_json, options.benchName,
-                                         metrics) &&
-              written;
-    support::sched::exportMetricsTo(metrics);
-    const std::string sched_json =
-        "SCHED_" + options.benchName + ".json";
-    written = support::sched::writeReport(sched_json,
-                                          options.benchName) &&
-              written;
-    const std::string cache_json =
-        "CACHE_" + options.benchName + ".json";
-    written = fetch::cachestats::writeReport(cache_json,
-                                             options.benchName) &&
-              written;
-    fetch::cachestats::endSession();
-    const std::string hot_json =
-        "HOT_" + options.benchName + ".json";
-    written = fetch::hotstats::writeReport(hot_json,
-                                           options.benchName) &&
-              written;
-    fetch::hotstats::endSession();
-    if (!options.metricsPath.empty())
-        written = metrics.writeJsonFile(options.metricsPath) && written;
-    const std::string bench_json =
-        "BENCH_" + options.benchName + ".json";
-    written = metrics.writeJsonFile(bench_json) && written;
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
-    if (!options.profCollapsePath.empty()) {
-        support::prof::stopSampling();
-        written = support::prof::writeCollapsed(options.profCollapsePath) &&
-                  written;
-    }
-    return written ? 0 : 1;
+    return tepic::bench::finishBenchMain(options, &argc, argv);
 }

@@ -5,8 +5,8 @@
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/profiler.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "support/trace.hh"
 
 namespace tepic::core {
@@ -180,11 +180,13 @@ ArtifactEngine::global()
 }
 
 void
-ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
+ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req,
+                             std::uint64_t task)
 {
-    TEPIC_TRACE_SPAN("engine.compile", "engine");
-    support::ScopedTimerMs timer(support::MetricsRegistry::global(),
-                                 "engine.phase.compile_ms");
+    const support::Scope scope({.span = "engine.compile",
+                                .cat = "engine",
+                                .timing = "engine.phase.compile_ms"},
+                               task);
     const bool want_trace = req.request.has(ArtifactKind::kTrace) &&
                             req.config.emulator.recordTrace;
     a.request_ = want_trace
@@ -196,9 +198,10 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
     compiles_.fetch_add(1, std::memory_order_relaxed);
 
     if (req.config.profileGuided) {
-        TEPIC_TRACE_SPAN("engine.emulate.profile", "engine");
-        support::prof::ProfScope prof(
-            support::prof::Phase::kEmulate);
+        const support::Scope profile_scope(
+            {.span = "engine.emulate.profile",
+             .cat = "engine",
+             .phase = support::prof::Phase::kEmulate});
         // The profile pass only needs block counts, never the trace.
         auto profile_config = req.config.emulator;
         profile_config.recordTrace = false;
@@ -211,8 +214,10 @@ ArtifactEngine::compileStage(Artifacts &a, const BuildRequest &req)
                                           req.config.compile.machine);
     }
 
-    TEPIC_TRACE_SPAN("engine.emulate", "engine");
-    support::prof::ProfScope prof(support::prof::Phase::kEmulate);
+    const support::Scope emulate_scope(
+        {.span = "engine.emulate",
+         .cat = "engine",
+         .phase = support::prof::Phase::kEmulate});
     auto run_config = req.config.emulator;
     run_config.recordTrace = want_trace;
     a.execution = sim::emulate(a.compiled.program, a.compiled.data,
@@ -258,7 +263,7 @@ declareSchedTask(const std::string &workload, const char *kind,
                  bool cache_hit = false)
 {
     if (!support::sched::enabled())
-        return ~std::uint64_t(0);
+        return support::sched::kNoTask;
     support::sched::TaskDecl decl;
     decl.label = workload + "/" + kind +
                  (scheme.empty() ? "" : "." + scheme);
@@ -269,6 +274,25 @@ declareSchedTask(const std::string &workload, const char *kind,
     decl.cacheHit = cache_hit;
     return support::sched::declareTask(std::move(decl));
 }
+
+/**
+ * The Scope site of each scheme-phase build task, indexed by
+ * ArtifactKind (every kind but kTrace, which the emulator produces).
+ */
+const support::ScopeSite kBuildSites[] = {
+    {"engine.build.base", "engine", support::prof::Phase::kBuildBase,
+     "engine.build.base_ms"},
+    {"engine.build.byte", "engine", support::prof::Phase::kBuildByte,
+     "engine.build.byte_ms"},
+    {"engine.build.stream", "engine",
+     support::prof::Phase::kBuildStream, "engine.build.stream_ms"},
+    {"engine.build.full", "engine", support::prof::Phase::kBuildFull,
+     "engine.build.full_ms"},
+    {"engine.build.tailored", "engine",
+     support::prof::Phase::kBuildTailored, "engine.build.tailored_ms"},
+    {"engine.build.att", "engine", support::prof::Phase::kBuildAtt,
+     "engine.build.att_ms"},
+};
 
 } // namespace
 
@@ -282,118 +306,74 @@ ArtifactEngine::schemeTasks(Artifacts &a, const BuildRequest &req,
     const ArtifactRequest request = req.request;
     const schemes::HuffmanOptions huffman = req.config.huffman;
 
-    // Id of the Full-image task the phase-3 ATT builder depends on.
-    std::uint64_t full_task = ~std::uint64_t(0);
+    // Declares one build task of `kind` depending on `dep` and queues
+    // `body` under the kind's Scope. Every image (all kinds but the
+    // ATT) charges its encoded ops.
+    const auto add = [&](std::vector<std::function<void()>> &queue,
+                         ArtifactKind kind, std::string scheme,
+                         std::uint64_t dep,
+                         std::function<void()> body) {
+        const std::uint64_t task_id =
+            declareSchedTask(workload, artifactKindName(kind),
+                             std::move(scheme), {dep});
+        queue.push_back([this, &a, kind, task_id,
+                         body = std::move(body)] {
+            const support::Scope scope(kBuildSites[unsigned(kind)],
+                                       task_id);
+            body();
+            if (kind != ArtifactKind::kAtt)
+                chargeEncodedOps(a);
+            builds_[unsigned(kind)].fetch_add(
+                1, std::memory_order_relaxed);
+        });
+        return task_id;
+    };
 
     if (request.has(ArtifactKind::kBase)) {
-        const std::uint64_t task_id =
-            declareSchedTask(workload, "base", "", {compile_task});
-        tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.base", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildBase);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.base_ms");
+        add(tasks, ArtifactKind::kBase, "", compile_task, [&a] {
             a.base_ = isa::buildBaselineImage(a.compiled.program);
-            chargeEncodedOps(a);
-            baseImages_.fetch_add(1, std::memory_order_relaxed);
         });
     }
     if (request.has(ArtifactKind::kByte)) {
-        const std::uint64_t task_id =
-            declareSchedTask(workload, "byte", "", {compile_task});
-        tasks.push_back([this, &a, huffman, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.byte", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildByte);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.byte_ms");
+        add(tasks, ArtifactKind::kByte, "", compile_task, [&a, huffman] {
             a.byte_ = schemes::compressByte(a.compiled.program,
                                             huffman);
-            chargeEncodedOps(a);
-            byteImages_.fetch_add(1, std::memory_order_relaxed);
         });
     }
     if (request.has(ArtifactKind::kStream)) {
         const auto &configs = schemes::allStreamConfigs();
         a.streams_.resize(configs.size());
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            const std::uint64_t task_id =
-                declareSchedTask(workload, "stream",
-                                 "s" + std::to_string(i),
-                                 {compile_task});
-            tasks.push_back([this, &a, huffman, i, &configs,
-                             task_id] {
-                support::sched::TaskScope sched_scope(task_id);
-                TEPIC_TRACE_SPAN("engine.build.stream", "engine");
-                support::prof::ProfScope prof(
-                    support::prof::Phase::kBuildStream);
-                support::ScopedTimerMs timer(
-                    support::MetricsRegistry::global(),
-                    "engine.build.stream_ms");
-                a.streams_[i] = schemes::compressStream(
-                    a.compiled.program, configs[i], huffman);
-                chargeEncodedOps(a);
-                streamImages_.fetch_add(1, std::memory_order_relaxed);
-            });
+            add(tasks, ArtifactKind::kStream, "s" + std::to_string(i),
+                compile_task, [&a, huffman, i, &configs] {
+                    a.streams_[i] = schemes::compressStream(
+                        a.compiled.program, configs[i], huffman);
+                });
         }
     }
+    // Id of the Full-image task the phase-3 ATT builder depends on.
+    std::uint64_t full_task = support::sched::kNoTask;
     if (request.has(ArtifactKind::kFull)) {
-        full_task = declareSchedTask(workload, "full", "",
-                                     {compile_task});
-        tasks.push_back([this, &a, huffman, full_task] {
-            support::sched::TaskScope sched_scope(full_task);
-            TEPIC_TRACE_SPAN("engine.build.full", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildFull);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.full_ms");
-            a.full_ = schemes::compressFull(a.compiled.program,
-                                            huffman);
-            chargeEncodedOps(a);
-            fullImages_.fetch_add(1, std::memory_order_relaxed);
-        });
+        full_task = add(tasks, ArtifactKind::kFull, "", compile_task,
+                        [&a, huffman] {
+                            a.full_ = schemes::compressFull(
+                                a.compiled.program, huffman);
+                        });
     }
     if (request.has(ArtifactKind::kTailored)) {
-        const std::uint64_t task_id =
-            declareSchedTask(workload, "tailored", "", {compile_task});
-        tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.tailored", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildTailored);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.tailored_ms");
+        add(tasks, ArtifactKind::kTailored, "", compile_task, [&a] {
             a.tailoredIsa_ =
                 schemes::TailoredIsa::build(a.compiled.program);
             a.tailoredImage_ =
                 a.tailoredIsa_->encode(a.compiled.program);
-            chargeEncodedOps(a);
-            tailoredImages_.fetch_add(1, std::memory_order_relaxed);
         });
     }
     if (request.has(ArtifactKind::kAtt)) {
         // The ATT reads the Full image, so it depends on that task
         // (normalized() guarantees kFull is in the request).
-        const std::uint64_t task_id =
-            declareSchedTask(workload, "att", "", {full_task});
-        att_tasks.push_back([this, &a, task_id] {
-            support::sched::TaskScope sched_scope(task_id);
-            TEPIC_TRACE_SPAN("engine.build.att", "engine");
-            support::prof::ProfScope prof(
-                support::prof::Phase::kBuildAtt);
-            support::ScopedTimerMs timer(
-                support::MetricsRegistry::global(),
-                "engine.build.att_ms");
+        add(att_tasks, ArtifactKind::kAtt, "", full_task, [&a] {
             a.att_ = fetch::Att::build(a.full_->image,
                                        a.compiled.program);
-            attBuilds_.fetch_add(1, std::memory_order_relaxed);
         });
     }
 }
@@ -457,7 +437,8 @@ ArtifactEngine::build(const std::string &source,
 std::vector<std::shared_ptr<const Artifacts>>
 ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
 {
-    TEPIC_TRACE_SPAN("engine.buildMany", "engine");
+    const support::Scope scope(
+        {.span = "engine.buildMany", .cat = "engine"});
     const std::size_t n = requests.size();
     std::vector<std::shared_ptr<const Artifacts>> results(n);
 
@@ -521,7 +502,7 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // visible to the sched idle-cause attribution while phase 1 runs.
     std::vector<BuildRequest> effective(misses.size());
     std::vector<std::uint64_t> compile_tasks(misses.size(),
-                                             ~std::uint64_t(0));
+                                             support::sched::kNoTask);
     std::vector<std::function<void()>> tasks;
     std::vector<std::function<void()>> att_tasks;
     for (std::size_t m = 0; m < misses.size(); ++m) {
@@ -539,11 +520,12 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // Phase 1: the shared compile + emulate stage, one task per
     // workload, concurrently across workloads.
     const auto compile_one = [&](std::size_t m) {
-        support::sched::TaskScope sched_scope(compile_tasks[m]);
-        compileStage(*pending[misses[m]].building, effective[m]);
+        compileStage(*pending[misses[m]].building, effective[m],
+                     compile_tasks[m]);
     };
     {
-        TEPIC_TRACE_SPAN("engine.phase.compile", "engine");
+        const support::Scope phase_scope(
+            {.span = "engine.phase.compile", .cat = "engine"});
         if (pool_ && misses.size() > 1) {
             pool_->parallelFor(misses.size(), compile_one);
         } else {
@@ -556,11 +538,13 @@ ArtifactEngine::buildMany(const std::vector<BuildRequest> &requests)
     // each writes a pre-assigned slot, so scheduling order cannot
     // change the result. ATTs run third — they read the Full image.
     {
-        TEPIC_TRACE_SPAN("engine.phase.schemes", "engine");
+        const support::Scope phase_scope(
+            {.span = "engine.phase.schemes", .cat = "engine"});
         runScheduled(tasks);
     }
     {
-        TEPIC_TRACE_SPAN("engine.phase.att", "engine");
+        const support::Scope phase_scope(
+            {.span = "engine.phase.att", .cat = "engine"});
         runScheduled(att_tasks);
     }
 
@@ -603,10 +587,7 @@ ArtifactEngine::buildUncached(const std::string &source,
     std::vector<std::function<void()>> att_tasks;
     serial.schemeTasks(artifacts, req, workload, compile_task, tasks,
                        att_tasks);
-    {
-        support::sched::TaskScope sched_scope(compile_task);
-        serial.compileStage(artifacts, req);
-    }
+    serial.compileStage(artifacts, req, compile_task);
     serial.runScheduled(tasks);
     serial.runScheduled(att_tasks);
     return artifacts;
@@ -620,13 +601,15 @@ ArtifactEngine::stats() const
     s.cacheMisses = cacheMisses_.load(std::memory_order_relaxed);
     s.compiles = compiles_.load(std::memory_order_relaxed);
     s.emulations = emulations_.load(std::memory_order_relaxed);
-    s.baseImages = baseImages_.load(std::memory_order_relaxed);
-    s.byteImages = byteImages_.load(std::memory_order_relaxed);
-    s.streamImages = streamImages_.load(std::memory_order_relaxed);
-    s.fullImages = fullImages_.load(std::memory_order_relaxed);
-    s.tailoredImages =
-        tailoredImages_.load(std::memory_order_relaxed);
-    s.attBuilds = attBuilds_.load(std::memory_order_relaxed);
+    const auto built = [this](ArtifactKind kind) {
+        return builds_[unsigned(kind)].load(std::memory_order_relaxed);
+    };
+    s.baseImages = built(ArtifactKind::kBase);
+    s.byteImages = built(ArtifactKind::kByte);
+    s.streamImages = built(ArtifactKind::kStream);
+    s.fullImages = built(ArtifactKind::kFull);
+    s.tailoredImages = built(ArtifactKind::kTailored);
+    s.attBuilds = built(ArtifactKind::kAtt);
     return s;
 }
 

@@ -160,8 +160,12 @@ class ArtifactEngine
         std::shared_ptr<const Artifacts> artifacts;
     };
 
-    /** Shared compile + (profile) + emulate stage for one workload. */
-    void compileStage(Artifacts &artifacts, const BuildRequest &req);
+    /**
+     * Shared compile + (profile) + emulate stage for one workload,
+     * recorded as sched task @p task.
+     */
+    void compileStage(Artifacts &artifacts, const BuildRequest &req,
+                      std::uint64_t task);
 
     /**
      * Append one task per requested scheme to @p tasks; the ATT
@@ -198,12 +202,8 @@ class ArtifactEngine
     std::atomic<std::uint64_t> cacheMisses_{0};
     std::atomic<std::uint64_t> compiles_{0};
     std::atomic<std::uint64_t> emulations_{0};
-    std::atomic<std::uint64_t> baseImages_{0};
-    std::atomic<std::uint64_t> byteImages_{0};
-    std::atomic<std::uint64_t> streamImages_{0};
-    std::atomic<std::uint64_t> fullImages_{0};
-    std::atomic<std::uint64_t> tailoredImages_{0};
-    std::atomic<std::uint64_t> attBuilds_{0};
+    /** Scheme-phase builds performed, by ArtifactKind. */
+    std::atomic<std::uint64_t> builds_[kNumArtifactKinds] = {};
 };
 
 /** Content hash of (source, config): the engine's cache key. */

@@ -10,8 +10,8 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
+#include "support/scope.hh"
 #include "support/text_file.hh"
-#include "support/trace.hh"
 
 namespace tepic::core {
 
@@ -278,7 +278,9 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
          std::optional<fetch::FetchConfig> config,
          const std::string &label)
 {
-    TEPIC_TRACE_SPAN("fetch.simulate", "fetch");
+    const support::Scope scope({.span = "fetch.simulate",
+                                .cat = "fetch",
+                                .phase = support::prof::Phase::kFetchSim});
     fetch::FetchConfig fetch_config =
         config ? *config : fetch::FetchConfig::paper(scheme);
 
@@ -290,7 +292,6 @@ runFetch(const Artifacts &artifacts, fetch::SchemeClass scheme,
     if (fetch::hotstats::enabled())
         fetch_config.hotStats.enabled = true;
 
-    support::prof::ProfScope prof(support::prof::Phase::kFetchSim);
     const std::uint64_t cpu_begin = support::prof::threadCpuNowNs();
     auto stats = fetch::simulateFetch(imageFor(artifacts, scheme),
                                       artifacts.compiled.program,

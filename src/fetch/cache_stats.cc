@@ -11,7 +11,7 @@
 namespace tepic::fetch {
 
 // ---------------------------------------------------------------------------
-// CacheStats: merge + invariants (compiled unconditionally).
+// CacheStats: merge + invariants.
 
 void
 CacheStats::merge(const CacheStats &other)
@@ -123,8 +123,6 @@ CacheStats::assertTiling() const
     (void)acc_sum;
     (void)hit_sum;
 }
-
-#if TEPIC_TRACING_ENABLED
 
 // ---------------------------------------------------------------------------
 // ReuseDistanceTracker.
@@ -339,10 +337,8 @@ CacheStatsRecorder::finish()
     return std::move(stats_);
 }
 
-#endif // TEPIC_TRACING_ENABLED
-
 // ---------------------------------------------------------------------------
-// Session store (compiled unconditionally; support/report_session.hh).
+// Session store (support/report_session.hh).
 
 namespace cachestats {
 

@@ -43,16 +43,14 @@
  * exact-gated "structure", unlike prof/sched which carry wall-clock
  * sections. Recording is sampling-capable (reuseSampleEvery thins
  * the reuse-distance stream; the 3C state must see every access and
- * cannot be sampled) and the recorder folds to no-op stubs under
- * -DTEPIC_ENABLE_TRACING=OFF: the disabled hot loop pays one null
+ * cannot be sampled). With recording off the hot loop pays one null
  * pointer check per path, bounded by the fig14 time-band gate.
  *
  * Session layer (cachestats::) is a support::ReportSession: benches
  * and tepicc --cache-report= start a session, runFetch() records each
  * simulation under its workload label, and reportJson() renders
- * schema "tepic-cache-v1". The session store is compiled
- * unconditionally so disabled builds still write valid (empty)
- * reports.
+ * schema "tepic-cache-v1"; with no session started it is a valid
+ * (empty) report.
  */
 
 #ifndef TEPIC_FETCH_CACHE_STATS_HH
@@ -67,7 +65,6 @@
 #include "fetch/three_c.hh"
 #include "support/report_session.hh"
 #include "support/stats.hh"
-#include "support/trace.hh"
 
 namespace tepic::fetch {
 
@@ -86,9 +83,9 @@ struct CacheStatsConfig
 };
 
 /**
- * Everything one recorder accumulated. Plain data, compiled
- * unconditionally (disabled builds produce recorded == false), and
- * mergeable across simulations of the same cache geometry.
+ * Everything one recorder accumulated. Plain data (recorded ==
+ * false when recording was off), mergeable across simulations of
+ * the same cache geometry.
  */
 struct CacheStats
 {
@@ -184,8 +181,6 @@ struct CacheStats
     void assertTiling() const;
 };
 
-#if TEPIC_TRACING_ENABLED
-
 /**
  * Exact reuse distances in O(log B) per access: each live block
  * owns one marker at its most recent access position in a Fenwick
@@ -255,40 +250,6 @@ class CacheStatsRecorder final : public CacheLineObserver
     ReuseDistanceTracker reuse_;
 };
 
-#else // !TEPIC_TRACING_ENABLED — the recorder folds away.
-
-class ReuseDistanceTracker
-{
-  public:
-    static constexpr std::uint64_t kCold = ~std::uint64_t(0);
-    explicit ReuseDistanceTracker(std::size_t) {}
-    std::uint64_t access(std::uint32_t) { return kCold; }
-    std::uint64_t compactions() const { return 0; }
-};
-
-class CacheStatsRecorder final : public CacheLineObserver
-{
-  public:
-    CacheStatsRecorder(const CacheConfig &, std::uint64_t,
-                       const CacheStatsConfig &)
-    {
-    }
-
-    void onFetch(std::uint32_t) {}
-    void onAtbAccess(bool) {}
-    void onL0Bypass() {}
-    void onL1Block(std::uint32_t, std::uint32_t, bool) {}
-    void onLineHit(std::uint64_t, std::uint32_t) override {}
-    void onLineFill(std::uint64_t, std::uint32_t) override {}
-    void onLineEvict(std::uint64_t, std::uint32_t,
-                     std::uint64_t) override
-    {
-    }
-
-    CacheStats finish() { return CacheStats{}; }
-};
-
-#endif // TEPIC_TRACING_ENABLED
 
 /**
  * Session-scoped CACHE-report store: a support::ReportSession (see

@@ -151,9 +151,8 @@ simulateBackEnd(const Att &att, const isa::Image &image,
     const bool trace_sink = support::trace::enabled();
     const char *stall_rate_name = stallRateCounterName(config.scheme);
 
-    // Cache-behavior observability (cache_stats.hh): a stub under
-    // -DTEPIC_ENABLE_TRACING=OFF, and the disabled hot loop pays one
-    // null check per path either way.
+    // Cache-behavior observability (cache_stats.hh): with recording
+    // off the hot loop pays one null check per path.
     std::optional<CacheStatsRecorder> cache_stats;
     CacheStatsRecorder *rec = nullptr;
     if (config.cacheStats.enabled) {

@@ -65,8 +65,7 @@ struct FetchConfig
      * classification, reuse distances, per-set heatmaps. Off by
      * default — the hot loop pays one null check per path; purely
      * observational, so stats with and without recording are
-     * identical (asserted by tests). Folds to no-op stubs under
-     * -DTEPIC_ENABLE_TRACING=OFF.
+     * identical (asserted by tests).
      */
     CacheStatsConfig cacheStats;
 
@@ -75,8 +74,7 @@ struct FetchConfig
      * hotness, branch-site accuracy, phase profile. Off by default —
      * the hot loop pays one null check per event; purely
      * observational, so stats with and without recording are
-     * identical (asserted by tests). Folds to no-op stubs under
-     * -DTEPIC_ENABLE_TRACING=OFF.
+     * identical (asserted by tests).
      */
     HotStatsConfig hotStats;
 
@@ -134,13 +132,13 @@ struct FetchStats
     std::uint64_t l0SavedCycles = 0;
 
     /** Cache-behavior record; recorded only when
-     *  FetchConfig::cacheStats.enabled (and the build has tracing
-     *  compiled in). See cache_stats.hh for the tiling contract. */
+     *  FetchConfig::cacheStats.enabled. See cache_stats.hh for the
+     *  tiling contract. */
     CacheStats cacheStats;
 
     /** Dynamic-behavior record; recorded only when
-     *  FetchConfig::hotStats.enabled (and the build has tracing
-     *  compiled in). See hot_stats.hh for the tiling contract. */
+     *  FetchConfig::hotStats.enabled. See hot_stats.hh for the
+     *  tiling contract. */
     HotStats hotStats;
 
     double

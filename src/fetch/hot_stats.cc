@@ -11,7 +11,7 @@
 namespace tepic::fetch {
 
 // ---------------------------------------------------------------------------
-// HotStats: merge + invariants (compiled unconditionally).
+// HotStats: merge + invariants.
 
 std::uint64_t
 HotStats::executedBlocks() const
@@ -179,8 +179,6 @@ HotStats::assertTiling() const
     }
 }
 
-#if TEPIC_TRACING_ENABLED
-
 // ---------------------------------------------------------------------------
 // HotStatsRecorder.
 
@@ -271,10 +269,8 @@ HotStatsRecorder::finish()
     return std::move(stats_);
 }
 
-#endif // TEPIC_TRACING_ENABLED
-
 // ---------------------------------------------------------------------------
-// Session store (compiled unconditionally; support/report_session.hh).
+// Session store (support/report_session.hh).
 
 namespace hotstats {
 

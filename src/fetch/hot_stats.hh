@@ -51,16 +51,14 @@
  * Determinism contract: everything a recorder produces is a pure
  * function of (trace, config); the whole HOT report is exact-gated
  * "structure". Recording is architecturally invisible (FetchStats
- * with and without recording are identical, asserted by tests) and
- * the recorder folds to no-op stubs under -DTEPIC_ENABLE_TRACING=OFF
- * — the disabled hot loop pays one null pointer check per event.
+ * with and without recording are identical, asserted by tests); with
+ * recording off the hot loop pays one null pointer check per event.
  *
  * Session layer (hotstats::) is a support::ReportSession, like
  * fetch::cachestats: benches and tepicc --hot-report= start a
  * session, runFetch() records each simulation under its workload
- * label, and reportJson() renders schema "tepic-hot-v1". The
- * session store is compiled unconditionally so disabled builds
- * still write valid (empty) reports.
+ * label, and reportJson() renders schema "tepic-hot-v1"; with no
+ * session started it is a valid (empty) report.
  */
 
 #ifndef TEPIC_FETCH_HOT_STATS_HH
@@ -72,7 +70,6 @@
 
 #include "fetch/cycle_model.hh"
 #include "support/report_session.hh"
-#include "support/trace.hh"
 
 namespace tepic::fetch {
 
@@ -88,9 +85,9 @@ struct HotStatsConfig
 };
 
 /**
- * Everything one recorder accumulated. Plain data, compiled
- * unconditionally (disabled builds produce recorded == false), and
- * mergeable across simulations of the same program shape.
+ * Everything one recorder accumulated. Plain data (recorded ==
+ * false when recording was off), mergeable across simulations of
+ * the same program shape.
  */
 struct HotStats
 {
@@ -180,8 +177,6 @@ struct HotStats
     void assertTiling() const;
 };
 
-#if TEPIC_TRACING_ENABLED
-
 /** One simulation's recording hooks; see the file comment. */
 class HotStatsRecorder final
 {
@@ -225,27 +220,6 @@ class HotStatsRecorder final
     bool lastPredictionWrong_ = false;
 };
 
-#else // !TEPIC_TRACING_ENABLED — the recorder folds away.
-
-class HotStatsRecorder final
-{
-  public:
-    HotStatsRecorder(std::uint32_t, std::uint64_t,
-                     const HotStatsConfig &)
-    {
-    }
-
-    void onBlock(std::uint32_t, std::uint64_t, std::uint64_t,
-                 std::uint64_t)
-    {
-    }
-
-    void onBranchSite(std::uint32_t, bool, bool) {}
-
-    HotStats finish() { return HotStats{}; }
-};
-
-#endif // TEPIC_TRACING_ENABLED
 
 /**
  * Session-scoped HOT-report store: a support::ReportSession (see

@@ -24,7 +24,7 @@
  * This is the one 3C implementation: CacheStatsRecorder (the CACHE
  * report) and the sweep's back-end passes both drive it, so the two
  * cannot disagree. It is part of the fetch model, not of the
- * observability layer, and is compiled in every build.
+ * observability layer.
  */
 
 #ifndef TEPIC_FETCH_THREE_C_HH

@@ -26,7 +26,6 @@
 #ifndef TEPIC_SUPPORT_METRICS_HH
 #define TEPIC_SUPPORT_METRICS_HH
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -106,35 +105,6 @@ class MetricsRegistry
     std::map<std::string, Histogram, std::less<>> histograms_;
     std::map<std::string, ScalarStat, std::less<>> timings_;
     std::map<std::string, std::uint64_t, std::less<>> runtime_;
-};
-
-/** Samples elapsed milliseconds into a timing at destruction. */
-class ScopedTimerMs
-{
-  public:
-    ScopedTimerMs(MetricsRegistry &registry, const char *name)
-        : registry_(registry), name_(name),
-          start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~ScopedTimerMs()
-    {
-        const auto elapsed =
-            std::chrono::steady_clock::now() - start_;
-        registry_.recordTimingMs(
-            name_,
-            std::chrono::duration<double, std::milli>(elapsed)
-                .count());
-    }
-
-    ScopedTimerMs(const ScopedTimerMs &) = delete;
-    ScopedTimerMs &operator=(const ScopedTimerMs &) = delete;
-
-  private:
-    MetricsRegistry &registry_;
-    const char *name_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 } // namespace tepic::support

@@ -4,7 +4,9 @@
 
 #include "support/profiler.hh"
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -14,10 +16,6 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/text_file.hh"
-
-#if TEPIC_TRACING_ENABLED
-#include <atomic>
-#include <cstdlib>
 
 #if defined(__linux__)
 #define TEPIC_PROF_HAVE_PERF 1
@@ -40,7 +38,6 @@
 #else
 #define TEPIC_PROF_HAVE_SIGNALS 0
 #endif
-#endif // TEPIC_TRACING_ENABLED
 
 namespace tepic::support::prof {
 
@@ -93,71 +90,6 @@ appendCountersJson(std::string &out, const PhaseCounters &c,
     }
     out += '}';
 }
-
-/**
- * Render the shared report body from a snapshot plus the registry's
- * prof.work.* counters and prof.* gauges. Also used by the disabled
- * build (with an all-zero snapshot and source "disabled") so
- * --prof-report= stays functional in every configuration.
- */
-std::string
-renderReport(const std::string &name, const char *source,
-             const Snapshot &snap, const MetricsRegistry &metrics)
-{
-    std::string out = "{\n  \"schema\": \"tepic-prof-v1\",\n";
-    out += "  \"name\": " + jsonQuote(name) + ",\n";
-    out += "  \"source\": " + jsonQuote(source) + ",\n";
-
-    out += "  \"total\": ";
-    appendCountersJson(out, snap.total, false);
-    out += ",\n  \"phases\": {\n";
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        out += "    " + jsonQuote(phaseName(Phase(i))) + ": ";
-        appendCountersJson(out, snap.phases[i], true);
-        out += i + 1 < kNumPhases ? ",\n" : "\n";
-    }
-    out += "  },\n";
-
-    out += "  \"work\": {";
-    bool first = true;
-    for (const auto &counter : metrics.counterNames()) {
-        if (counter.rfind("prof.work.", 0) != 0)
-            continue;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    " +
-               jsonQuote(counter.substr(std::strlen("prof.work."))) +
-               ": " + std::to_string(metrics.counter(counter));
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"throughput\": {";
-    first = true;
-    for (const auto &gauge : metrics.gaugeNames()) {
-        if (gauge.rfind("prof.", 0) != 0)
-            continue;
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    " + jsonQuote(gauge.substr(std::strlen("prof."))) +
-               ": " + jsonNumber(metrics.gauge(gauge));
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"samples\": {\"taken\": %llu, \"dropped\": "
-                  "%llu}\n}\n",
-                  (unsigned long long)snap.samplesTaken,
-                  (unsigned long long)snap.samplesDropped);
-    out += buf;
-    return out;
-}
-
-} // namespace
-
-#if TEPIC_TRACING_ENABLED
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Per-thread counter state.
@@ -479,24 +411,24 @@ sampleCounts()
 } // namespace
 
 // ---------------------------------------------------------------------------
-// ProfScope.
+// Phase frames.
 
-ProfScope::ProfScope(Phase phase)
+bool
+enterPhase(Phase phase)
 {
     ThreadState &state = threadState();
     if (state.depth >= kMaxDepth)
-        return;
+        return false;
     ThreadState::Frame &frame = state.stack[state.depth++];
     frame.phase = phase;
     std::memset(frame.child, 0, sizeof(frame.child));
     readNow(state, frame.enter);
-    active_ = true;
+    return true;
 }
 
-ProfScope::~ProfScope()
+void
+exitPhase()
 {
-    if (!active_)
-        return;
     ThreadState &state = threadState();
     ThreadState::Frame &frame = state.stack[--state.depth];
     Values now;
@@ -703,10 +635,56 @@ reportJson(const std::string &name, const MetricsRegistry &metrics)
     TEPIC_ASSERT(sum == snap.total.cycles,
                  "profiler phase tiling violated: ", sum, " vs ",
                  snap.total.cycles);
-    return renderReport(name,
-                        snap.perfEvents ? "perf_event"
-                                        : "thread_cputime",
-                        snap, metrics);
+
+    std::string out = "{\n  \"schema\": \"tepic-prof-v1\",\n";
+    out += "  \"name\": " + jsonQuote(name) + ",\n";
+    out += "  \"source\": " +
+           jsonQuote(snap.perfEvents ? "perf_event" : "thread_cputime") +
+           ",\n";
+
+    out += "  \"total\": ";
+    appendCountersJson(out, snap.total, false);
+    out += ",\n  \"phases\": {\n";
+    for (unsigned i = 0; i < kNumPhases; ++i) {
+        out += "    " + jsonQuote(phaseName(Phase(i))) + ": ";
+        appendCountersJson(out, snap.phases[i], true);
+        out += i + 1 < kNumPhases ? ",\n" : "\n";
+    }
+    out += "  },\n";
+
+    out += "  \"work\": {";
+    bool first = true;
+    for (const auto &counter : metrics.counterNames()) {
+        if (counter.rfind("prof.work.", 0) != 0)
+            continue;
+        out += first ? "\n" : ",\n";
+        first = false;
+        out += "    " +
+               jsonQuote(counter.substr(std::strlen("prof.work."))) +
+               ": " + std::to_string(metrics.counter(counter));
+    }
+    out += first ? "},\n" : "\n  },\n";
+
+    out += "  \"throughput\": {";
+    first = true;
+    for (const auto &gauge : metrics.gaugeNames()) {
+        if (gauge.rfind("prof.", 0) != 0)
+            continue;
+        out += first ? "\n" : ",\n";
+        first = false;
+        out += "    " + jsonQuote(gauge.substr(std::strlen("prof."))) +
+               ": " + jsonNumber(metrics.gauge(gauge));
+    }
+    out += first ? "},\n" : "\n  },\n";
+
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"samples\": {\"taken\": %llu, \"dropped\": "
+                  "%llu}\n}\n",
+                  (unsigned long long)snap.samplesTaken,
+                  (unsigned long long)snap.samplesDropped);
+    out += buf;
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -833,16 +811,6 @@ resetForTest()
     g_nextSlot.store(0, std::memory_order_relaxed);
 #endif
 }
-
-#else // !TEPIC_TRACING_ENABLED
-
-std::string
-reportJson(const std::string &name, const MetricsRegistry &metrics)
-{
-    return renderReport(name, "disabled", Snapshot{}, metrics);
-}
-
-#endif // TEPIC_TRACING_ENABLED
 
 bool
 writeReport(const std::string &path, const std::string &name,

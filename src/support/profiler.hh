@@ -5,9 +5,10 @@
  *
  * Two instruments, both scoped to a fixed phase taxonomy:
  *
- *  - Phase counters: `ProfScope scope(Phase::kFetchSim)` attributes
- *    the host cycles / instructions / cache-misses / branch-misses /
- *    CPU-ns spent inside the scope to that phase. Attribution is
+ *  - Phase counters: a support::Scope whose site names a phase
+ *    (`Scope scope({.phase = Phase::kFetchSim})`) attributes the host
+ *    cycles / instructions / cache-misses / branch-misses / CPU-ns
+ *    spent inside the scope to that phase. Attribution is
  *    *self-time*: a scope nested inside another (on the same thread)
  *    subtracts its inclusive cost from its parent, so the per-phase
  *    charges tile the total with no double counting — the same
@@ -42,11 +43,6 @@
  *                 key-set stable but value-varying; the comparison
  *                 tools treat the prof. gauge namespace like timings
  *   prof.*        runtime — raw per-phase counter values (env data)
- *
- * Compile-time disable: profiling follows the tracing switch
- * (TEPIC_TRACING_ENABLED, CMake -DTEPIC_ENABLE_TRACING=OFF);
- * disabled, ProfScope is an empty type and every entry point folds
- * to an inline no-op.
  */
 
 #ifndef TEPIC_SUPPORT_PROFILER_HH
@@ -55,8 +51,6 @@
 #include <cstdint>
 #include <string>
 
-#include "support/trace.hh"
-
 namespace tepic::support {
 
 class MetricsRegistry;
@@ -64,7 +58,7 @@ class MetricsRegistry;
 namespace prof {
 
 /**
- * The closed phase taxonomy. Every phase a ProfScope can charge —
+ * The closed phase taxonomy. Every phase a scope can charge —
  * reports always emit all of them (zero or not) so the key set never
  * depends on --jobs, cache hits, or which commands ran.
  */
@@ -116,9 +110,7 @@ struct Snapshot
 /**
  * Render schema "tepic-prof-v1": source, total, all phases (tiling
  * total exactly), the registry's prof.work.* counters, the derived
- * prof.* throughput gauges, and sampling stats. Compiled in either
- * way: with profiling compiled out it is a stub report (all-zero
- * phases, source "disabled"), so --prof-report= callers keep working.
+ * prof.* throughput gauges, and sampling stats.
  */
 std::string reportJson(const std::string &name,
                        const MetricsRegistry &metrics);
@@ -126,11 +118,6 @@ std::string reportJson(const std::string &name,
 /** reportJson() to a file; warns (returns false) on I/O failure. */
 bool writeReport(const std::string &path, const std::string &name,
                  const MetricsRegistry &metrics);
-
-#if TEPIC_TRACING_ENABLED
-
-/** Compiled in? (Runtime phase accounting is always on when so.) */
-inline bool available() { return true; }
 
 /**
  * Reset all accumulators and mark the session start on the calling
@@ -181,47 +168,21 @@ std::string collapsedStacks();
 /** collapsedStacks() to a file; warns (returns false) on failure. */
 bool writeCollapsed(const std::string &path);
 
-/** Scoped phase attribution (self-time; see file comment). */
-class ProfScope
-{
-  public:
-    explicit ProfScope(Phase phase);
-    ~ProfScope();
+/**
+ * Open a self-time frame of @p phase on the calling thread (phase
+ * accounting is always on). Returns false when the frame stack is
+ * full, in which case the caller must not call exitPhase().
+ * support::Scope pairs the two calls.
+ */
+bool enterPhase(Phase phase);
 
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
-
-  private:
-    bool active_ = false;
-};
+/** Close the calling thread's innermost frame, charging its phase. */
+void exitPhase();
 
 // Test hooks.
 
 /** Drop every thread's charges and the session mark (tests only). */
 void resetForTest();
-
-#else // !TEPIC_TRACING_ENABLED — everything folds away.
-
-inline bool available() { return false; }
-inline void startSession() {}
-inline std::uint64_t threadCpuNowNs() { return 0; }
-inline Snapshot snapshot() { return {}; }
-inline void exportMetricsTo(MetricsRegistry &) {}
-inline bool startSampling(unsigned = 997) { return false; }
-inline void stopSampling() {}
-inline std::string collapsedStacks() { return {}; }
-inline bool writeCollapsed(const std::string &) { return false; }
-inline void resetForTest() {}
-
-class ProfScope
-{
-  public:
-    explicit ProfScope(Phase) {}
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
-};
-
-#endif // TEPIC_TRACING_ENABLED
 
 } // namespace prof
 

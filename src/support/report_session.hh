@@ -13,9 +13,6 @@
  * "<workload><shapeKey(stats)>" so merge() never crosses shapes. An
  * empty workload label is stored as "-". Each recorder supplies only
  * its shape key and its per-record JSON body (appendScheme).
- *
- * The store is compiled unconditionally, so builds with the recorders
- * folded away still write valid (empty) reports.
  */
 
 #ifndef TEPIC_SUPPORT_REPORT_SESSION_HH

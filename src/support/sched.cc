@@ -47,12 +47,18 @@ recorder()
 thread_local std::uint32_t t_worker = kMainWorker;
 
 std::uint64_t
-nowNs()
+sinceEpochNs(std::chrono::steady_clock::time_point when)
 {
     return std::uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - recorder().epoch)
+            when - recorder().epoch)
             .count());
+}
+
+std::uint64_t
+nowNs()
+{
+    return sinceEpochNs(std::chrono::steady_clock::now());
 }
 
 WorkerEvent &
@@ -186,7 +192,7 @@ std::uint64_t
 declareTask(TaskDecl decl)
 {
     if (!enabled())
-        return ~std::uint64_t(0);
+        return kNoTask;
     auto &r = recorder();
     const std::uint64_t ts = nowNs();
     std::lock_guard<std::mutex> lock(r.mutex);
@@ -197,7 +203,7 @@ declareTask(TaskDecl decl)
     // Sentinel deps come from ids handed out while recording was
     // disabled (a session started mid-build); drop them. A real
     // forward reference would make the graph ill-formed.
-    std::erase(record.decl.deps, ~std::uint64_t(0));
+    std::erase(record.decl.deps, kNoTask);
     for (std::uint64_t dep : record.decl.deps) {
         TEPIC_ASSERT(dep < record.id,
                      "sched task depends on a not-yet-declared task");
@@ -207,32 +213,19 @@ declareTask(TaskDecl decl)
 }
 
 void
-taskStarted(std::uint64_t id)
+taskRan(std::uint64_t id, std::chrono::steady_clock::time_point start,
+        std::chrono::steady_clock::time_point finish)
 {
     if (!enabled())
         return;
     auto &r = recorder();
-    const std::uint64_t ts = nowNs();
     std::lock_guard<std::mutex> lock(r.mutex);
-    if (id >= r.tasks.size())
+    if (id >= r.tasks.size() || start < r.epoch)
         return;
     auto &t = r.tasks[id];
-    t.startNs = ts;
+    t.startNs = sinceEpochNs(start);
+    t.finishNs = sinceEpochNs(finish);
     t.worker = t_worker;
-}
-
-void
-taskFinished(std::uint64_t id)
-{
-    if (!enabled())
-        return;
-    auto &r = recorder();
-    const std::uint64_t ts = nowNs();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    if (id >= r.tasks.size())
-        return;
-    auto &t = r.tasks[id];
-    t.finishNs = ts;
     t.ran = true;
 }
 

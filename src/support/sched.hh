@@ -3,9 +3,9 @@
  * Task-graph scheduling observability for the artifact engine.
  *
  * The engine declares every unit of scheduled work as a *task* —
- * compile+emulate stages, per-scheme image builds, ATT and decoder
- * pre-warm tasks, and cache hits (zero-duration records) — each with
- * its dependency edges, and wraps execution in a TaskScope so the
+ * compile+emulate stages, per-scheme image and ATT builds, and cache
+ * hits (zero-duration records) — each with its dependency edges, and
+ * runs it under a support::Scope carrying the task id, so the
  * recorder sees enqueue/start/finish timestamps and the worker that
  * ran it (the ThreadPool tags its workers via workerAttach()). From
  * that event stream analyze() reconstructs the build DAG and answers
@@ -33,14 +33,13 @@
  * so they are stable run to run.
  *
  * Recording is session-scoped like prof: until startSession() every
- * entry point is one relaxed atomic load. The layer is compiled
- * unconditionally (it has no tracing dependency), so SCHED reports
- * exist in -DTEPIC_ENABLE_TRACING=OFF builds too.
+ * entry point is one relaxed atomic load.
  */
 
 #ifndef TEPIC_SUPPORT_SCHED_HH
 #define TEPIC_SUPPORT_SCHED_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,6 +55,9 @@ inline constexpr std::uint32_t kNoWorker = 0xffffffffu;
 
 /** Pseudo worker id for the calling (main) thread. */
 inline constexpr std::uint32_t kMainWorker = 0xfffffffeu;
+
+/** Task id handed out while no session records (never recorded). */
+inline constexpr std::uint64_t kNoTask = ~std::uint64_t(0);
 
 /** What a caller declares about one schedulable unit of work. */
 struct TaskDecl
@@ -149,36 +151,14 @@ void endSession();
  */
 std::uint64_t declareTask(TaskDecl decl);
 
-/** Mark @p id running on the calling thread's worker (TLS). */
-void taskStarted(std::uint64_t id);
-
-/** Mark @p id finished. */
-void taskFinished(std::uint64_t id);
-
-/** RAII taskStarted()/taskFinished() pair around a task body. */
-class TaskScope
-{
-  public:
-    explicit
-    TaskScope(std::uint64_t id)
-        : id_(id)
-    {
-        if (id_ != ~std::uint64_t(0))
-            taskStarted(id_);
-    }
-
-    ~TaskScope()
-    {
-        if (id_ != ~std::uint64_t(0))
-            taskFinished(id_);
-    }
-
-    TaskScope(const TaskScope &) = delete;
-    TaskScope &operator=(const TaskScope &) = delete;
-
-  private:
-    std::uint64_t id_;
-};
+/**
+ * Record that @p id ran over [@p start, @p finish) on the calling
+ * thread's worker (TLS). support::Scope is the caller; an interval
+ * that began before the current session started is dropped.
+ */
+void taskRan(std::uint64_t id,
+             std::chrono::steady_clock::time_point start,
+             std::chrono::steady_clock::time_point finish);
 
 /**
  * ThreadPool hook: tag the calling thread as pool worker @p worker

@@ -1,10 +1,8 @@
 #include "support/trace.hh"
 
-#if TEPIC_TRACING_ENABLED
-
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <mutex>
 #include <vector>
@@ -26,7 +24,6 @@ struct Event
     std::uint64_t durNs = 0;   // 'X' only
     std::uint32_t tid = 0;
     double value = 0.0;        // 'C' only
-    std::string args;          // preformatted JSON object, or empty
 };
 
 struct ThreadBuffer
@@ -98,12 +95,18 @@ threadBuffer()
 }
 
 std::uint64_t
-nowNs()
+sinceEpochNs(std::chrono::steady_clock::time_point when)
 {
     return std::uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - registry().epoch)
+            when - registry().epoch)
             .count());
+}
+
+std::uint64_t
+nowNs()
+{
+    return sinceEpochNs(std::chrono::steady_clock::now());
 }
 
 void
@@ -150,9 +153,6 @@ formatEvent(std::string &out, const Event &event)
         std::snprintf(num, sizeof(num), ",\"args\":{\"value\":%.12g}",
                       event.value);
         out += num;
-    } else if (!event.args.empty()) {
-        out += ",\"args\":";
-        out += event.args;
     }
     out += '}';
 }
@@ -290,41 +290,22 @@ counter(const char *name, double value, const char *cat)
     append(std::move(event));
 }
 
-Span::Span(const char *name, const char *cat)
+void
+complete(const char *name, const char *cat,
+         std::chrono::steady_clock::time_point start,
+         std::chrono::steady_clock::time_point finish)
 {
-    if (!enabled())
-        return;
-    name_ = name;
-    cat_ = cat;
-    startNs_ = nowNs();
-    active_ = true;
-}
-
-Span::Span(const char *name, const char *cat, std::string args)
-{
-    if (!enabled())
-        return;
-    name_ = name;
-    cat_ = cat;
-    args_ = std::move(args);
-    startNs_ = nowNs();
-    active_ = true;
-}
-
-Span::~Span()
-{
-    // A span that straddles stop() is dropped rather than recorded
-    // into the next session: the enabled() check here pairs with the
-    // one in the constructor.
-    if (!active_ || !enabled())
+    if (!enabled() || start < registry().epoch)
         return;
     Event event;
-    event.name = name_;
-    event.cat = cat_;
+    event.name = name;
+    event.cat = cat;
     event.phase = 'X';
-    event.tsNs = startNs_;
-    event.durNs = nowNs() - startNs_;
-    event.args = std::move(args_);
+    event.tsNs = sinceEpochNs(start);
+    event.durNs = std::uint64_t(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(finish -
+                                                             start)
+            .count());
     append(std::move(event));
 }
 
@@ -348,5 +329,3 @@ pendingEvents()
 }
 
 } // namespace tepic::support::trace
-
-#endif // TEPIC_TRACING_ENABLED

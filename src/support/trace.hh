@@ -6,19 +6,16 @@
  *
  * Design:
  *
- *  - Scoped spans (RAII): `TEPIC_TRACE_SPAN("engine.compile")` records
- *    one complete ("X") event with the span's wall-clock duration.
+ *  - Complete ("X") events come from support::Scope, which hands
+ *    complete() the two clock reads it took on entry and exit.
  *  - Per-thread buffers: each thread appends to its own vector under a
  *    thread-local, uncontended mutex; buffers are gathered and written
  *    only at stop(). A thread that exits first parks its events in a
  *    retired list, so pool workers joined before stop() still appear.
  *  - Runtime disable: when tracing is off (the default), every entry
  *    point is a single relaxed atomic load — no allocation, no lock,
- *    no clock read. Span names/categories must be string literals (or
- *    otherwise outlive stop()); they are not copied.
- *  - Compile-time disable: build with TEPIC_TRACING_ENABLED=0 (CMake
- *    -DTEPIC_ENABLE_TRACING=OFF) and the whole layer folds to empty
- *    inline stubs.
+ *    no clock read. Event names/categories must be string literals
+ *    (or otherwise outlive stop()); they are not copied.
  *
  * Determinism caveat: trace *timestamps and durations* vary run to
  * run; the event structure (which spans exist, their nesting and
@@ -28,17 +25,11 @@
 #ifndef TEPIC_SUPPORT_TRACE_HH
 #define TEPIC_SUPPORT_TRACE_HH
 
+#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
-#ifndef TEPIC_TRACING_ENABLED
-#define TEPIC_TRACING_ENABLED 1
-#endif
-
 namespace tepic::support::trace {
-
-#if TEPIC_TRACING_ENABLED
 
 /** Runtime switch; one relaxed atomic load. */
 bool enabled();
@@ -66,27 +57,14 @@ void instant(const char *name, const char *cat = "tepic");
 /** Record a counter ("C") event. */
 void counter(const char *name, double value, const char *cat = "tepic");
 
-/** RAII scoped span; records one complete event at destruction. */
-class Span
-{
-  public:
-    explicit Span(const char *name, const char *cat = "tepic");
-
-    /** @p args must be a preformatted JSON object ("{...}"). */
-    Span(const char *name, const char *cat, std::string args);
-
-    ~Span();
-
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-
-  private:
-    const char *name_ = nullptr;
-    const char *cat_ = nullptr;
-    std::string args_;
-    std::uint64_t startNs_ = 0;
-    bool active_ = false;
-};
+/**
+ * Record a complete ("X") event spanning [@p start, @p finish). An
+ * interval that began before the current session started (it
+ * straddles a start()) is dropped.
+ */
+void complete(const char *name, const char *cat,
+              std::chrono::steady_clock::time_point start,
+              std::chrono::steady_clock::time_point finish);
 
 // Test hooks.
 
@@ -96,37 +74,6 @@ bool threadHasBuffer();
 /** Total buffered (unflushed) events across all threads. */
 std::size_t pendingEvents();
 
-#else // !TEPIC_TRACING_ENABLED — everything folds away.
-
-inline bool enabled() { return false; }
-inline void start(const std::string &) {}
-inline bool stop() { return true; }
-inline std::string stopToJson() { return "{\"traceEvents\":[]}"; }
-inline void instant(const char *, const char * = "tepic") {}
-inline void counter(const char *, double, const char * = "tepic") {}
-
-class Span
-{
-  public:
-    explicit Span(const char *, const char * = "tepic") {}
-    Span(const char *, const char *, std::string) {}
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-};
-
-inline bool threadHasBuffer() { return false; }
-inline std::size_t pendingEvents() { return 0; }
-
-#endif // TEPIC_TRACING_ENABLED
-
 } // namespace tepic::support::trace
-
-#define TEPIC_TRACE_CONCAT2(a, b) a##b
-#define TEPIC_TRACE_CONCAT(a, b) TEPIC_TRACE_CONCAT2(a, b)
-
-/** Scoped span with an unpollutable variable name. */
-#define TEPIC_TRACE_SPAN(...)                                            \
-    ::tepic::support::trace::Span TEPIC_TRACE_CONCAT(                    \
-        tepic_trace_span_, __COUNTER__)(__VA_ARGS__)
 
 #endif // TEPIC_SUPPORT_TRACE_HH

@@ -34,12 +34,9 @@ using namespace tepic;
 using fetch::CacheConfig;
 using fetch::CacheStats;
 using fetch::CacheStatsConfig;
-using fetch::SchemeClass;
-
-#if TEPIC_TRACING_ENABLED
-
 using fetch::CacheStatsRecorder;
 using fetch::ReuseDistanceTracker;
+using fetch::SchemeClass;
 
 /**
  * A BankedCache with its recorder attached, driven the way
@@ -530,11 +527,9 @@ TEST(CacheReport, DisabledSessionRecordsNothing)
         doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_TRACING_ENABLED
-
 // ---------------------------------------------------------------------------
-// Unconditional: the report stays a valid document in disabled
-// builds, and an unrecorded CacheStats is inert.
+// The report with nothing recorded stays a valid document, and an
+// unrecorded CacheStats is inert.
 
 TEST(CacheReport, EmptyReportIsValidJson)
 {

@@ -460,7 +460,6 @@ TEST(Atb, SiteKeyingIsAliasFree)
     EXPECT_EQ(atb.predictNext(b), fx.att.entry(b).fallthrough);
 }
 
-#if TEPIC_TRACING_ENABLED
 /**
  * The hot-stats site ledger against the architectural counters: the
  * per-site direction totals tile the fetch count (one prediction per
@@ -500,7 +499,6 @@ TEST(FetchSim, SiteCounterDeltasTileMispredicts)
               stats.predictionsWrong + hs.unconsumedMispredicts);
     EXPECT_GT(site_mispredicts, 0u);  // the if() ping-pongs
 }
-#endif // TEPIC_TRACING_ENABLED
 
 TEST(FetchSim, InvariantsOnRealWorkload)
 {

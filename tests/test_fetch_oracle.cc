@@ -265,9 +265,8 @@ checkProgram(const core::Artifacts &a, std::uint64_t seed, int count)
                           three_c.split(), ref);
 
             const fetch::CacheStats &cs = results[k].stats.cacheStats;
-            // Only a recorder's own group records (and only in a
-            // build with tracing compiled in).
-            EXPECT_TRUE(config.cacheStats.enabled || !cs.recorded);
+            // Only a recorder's own group records.
+            EXPECT_EQ(cs.recorded, config.cacheStats.enabled);
             if (cs.recorded) {
                 expectMatches(results[k].stats,
                               {cs.compulsory, cs.capacity, cs.conflict},

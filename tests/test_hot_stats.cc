@@ -29,11 +29,8 @@ namespace {
 using namespace tepic;
 using fetch::HotStats;
 using fetch::HotStatsConfig;
-using fetch::SchemeClass;
-
-#if TEPIC_TRACING_ENABLED
-
 using fetch::HotStatsRecorder;
+using fetch::SchemeClass;
 
 HotStatsConfig
 enabledConfig(unsigned epochs = 2, unsigned top = 32)
@@ -381,11 +378,9 @@ TEST(HotReport, DisabledSessionRecordsNothing)
     EXPECT_TRUE(doc.at("structure").at("workloads").object.empty());
 }
 
-#endif // TEPIC_TRACING_ENABLED
-
 // ---------------------------------------------------------------------------
-// Unconditional: the report stays a valid document in disabled
-// builds, and an unrecorded HotStats is inert.
+// The report with nothing recorded stays a valid document, and an
+// unrecorded HotStats is inert.
 
 TEST(HotReport, EmptyReportIsValidJson)
 {

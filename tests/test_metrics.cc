@@ -18,6 +18,7 @@
 #include "json_mini.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/scope.hh"
 #include "support/stats.hh"
 
 namespace {
@@ -26,7 +27,6 @@ using tepic::support::Histogram;
 using tepic::support::LogLevel;
 using tepic::support::MetricsRegistry;
 using tepic::support::ScalarStat;
-using tepic::support::ScopedTimerMs;
 
 TEST(Metrics, CountersAccumulate)
 {
@@ -150,12 +150,13 @@ TEST(Metrics, ClearAndEmpty)
 
 TEST(Metrics, ScopedTimerRecordsOneSample)
 {
-    MetricsRegistry m;
+    // A Scope whose site names a timing samples the global registry.
+    auto &m = MetricsRegistry::global();
     {
-        ScopedTimerMs timer(m, "scoped");
+        const tepic::support::Scope scope({.timing = "test.scoped"});
     }
-    EXPECT_EQ(m.timing("scoped").count(), 1u);
-    EXPECT_GE(m.timing("scoped").min(), 0.0);
+    EXPECT_EQ(m.timing("test.scoped").count(), 1u);
+    EXPECT_GE(m.timing("test.scoped").min(), 0.0);
 }
 
 TEST(Metrics, JsonRoundTrip)

@@ -5,12 +5,8 @@
  * invariant (Σ phase cycles == total, like the SizeLedger tiles an
  * image's bits), the tepic-prof-v1 report, the determinism contract
  * (work counters and key sets identical for any --jobs value), and
- * the sampling profiler's collapsed-stack output.
- *
- * The whole suite compiles in both configurations: under
- * -DTEPIC_ENABLE_TRACING=OFF the profiler folds to no-op stubs and
- * the *Disabled tests assert exactly that (ProfScope is an empty
- * class, reports come back all-zero with source "disabled").
+ * the sampling profiler's collapsed-stack output. Phase frames are
+ * opened through support::Scope.
  */
 
 #include <gtest/gtest.h>
@@ -18,19 +14,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <type_traits>
 
 #include "core/artifact_engine.hh"
 #include "json_mini.hh"
 #include "support/metrics.hh"
 #include "support/profiler.hh"
+#include "support/scope.hh"
 #include "workloads/workload.hh"
 
 namespace {
 
 using namespace tepic;
+using support::Scope;
 using support::prof::Phase;
-using support::prof::ProfScope;
 
 /** Burn roughly @p ms milliseconds of this thread's CPU time. */
 std::uint64_t
@@ -69,14 +65,12 @@ TEST(ProfilerPhaseNames, CoverTheClosedEnum)
     }
 }
 
-#if TEPIC_TRACING_ENABLED
-
 TEST(Profiler, ScopeChargesItsPhase)
 {
     support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope scope(Phase::kFrontend);
+        const Scope scope({.phase = Phase::kFrontend});
         spinCpu(5);
     }
     const auto snap = support::prof::snapshot();
@@ -93,10 +87,10 @@ TEST(Profiler, NestedScopesAttributeSelfTime)
     support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope outer(Phase::kBackend);
+        const Scope outer({.phase = Phase::kBackend});
         spinCpu(4);
         {
-            ProfScope inner(Phase::kOptimise);
+            const Scope inner({.phase = Phase::kOptimise});
             spinCpu(12);
         }
         spinCpu(4);
@@ -119,12 +113,12 @@ TEST(Profiler, PhasesTileTheTotal)
     support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope a(Phase::kEmulate);
+        const Scope a({.phase = Phase::kEmulate});
         spinCpu(3);
     }
     spinCpu(3);  // unscoped work -> Phase::kOther
     {
-        ProfScope b(Phase::kFetchSim);
+        const Scope b({.phase = Phase::kFetchSim});
         spinCpu(3);
     }
     const auto snap = support::prof::snapshot();
@@ -138,7 +132,7 @@ TEST(Profiler, ReportJsonIsValidAndTiles)
     support::prof::resetForTest();
     support::prof::startSession();
     {
-        ProfScope scope(Phase::kBenchKernel);
+        const Scope scope({.phase = Phase::kBenchKernel});
         spinCpu(5);
     }
     support::MetricsRegistry metrics;
@@ -204,7 +198,7 @@ TEST(Profiler, SamplingProducesCollapsedStacks)
     EXPECT_FALSE(support::prof::startSampling(2000))
         << "second sampler must be refused";
     {
-        ProfScope scope(Phase::kBenchKernel);
+        const Scope scope({.phase = Phase::kBenchKernel});
         spinCpu(250);
     }
     support::prof::stopSampling();
@@ -228,34 +222,5 @@ TEST(Profiler, SamplingProducesCollapsedStacks)
         start = end + 1;
     }
 }
-
-#else // !TEPIC_TRACING_ENABLED
-
-TEST(ProfilerDisabled, ScopeIsAnEmptyClass)
-{
-    // The whole point of the kill switch: zero footprint.
-    EXPECT_TRUE(std::is_empty_v<ProfScope>);
-    EXPECT_FALSE(support::prof::available());
-    EXPECT_FALSE(support::prof::startSampling());
-    EXPECT_TRUE(support::prof::collapsedStacks().empty());
-}
-
-TEST(ProfilerDisabled, ReportIsStubButValid)
-{
-    support::MetricsRegistry metrics;
-    metrics.addCounter("prof.work.ops_encoded", 7);
-    const std::string json =
-        support::prof::reportJson("stub_bin", metrics);
-    const auto doc = testjson::parse(json);
-    EXPECT_EQ(doc.at("schema").str, "tepic-prof-v1");
-    EXPECT_EQ(doc.at("source").str, "disabled");
-    EXPECT_DOUBLE_EQ(doc.at("total").at("cycles").number, 0.0);
-    EXPECT_EQ(doc.at("phases").object.size(),
-              std::size_t(support::prof::kNumPhases));
-    // Deterministic work counters still surface in the stub report.
-    EXPECT_DOUBLE_EQ(doc.at("work").at("ops_encoded").number, 7.0);
-}
-
-#endif // TEPIC_TRACING_ENABLED
 
 } // namespace

@@ -9,9 +9,6 @@
  * byte-identical for any --jobs value), and the ArtifactEngine
  * integration (compile -> scheme -> att edges, cache hits as
  * zero-duration records, sched.* metrics counters).
- *
- * sched compiles unconditionally (no tracing dependency), so this
- * whole suite runs in -DTEPIC_ENABLE_TRACING=OFF builds too.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +25,7 @@
 #include "json_mini.hh"
 #include "support/metrics.hh"
 #include "support/sched.hh"
+#include "support/scope.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -35,7 +33,7 @@ namespace {
 using namespace tepic;
 namespace sched = support::sched;
 
-constexpr std::uint64_t kNoTask = ~std::uint64_t(0);
+using sched::kNoTask;
 
 sched::TaskDecl
 decl(std::string label, std::vector<std::uint64_t> deps = {},
@@ -54,7 +52,7 @@ decl(std::string label, std::vector<std::uint64_t> deps = {},
 void
 runFor(std::uint64_t id, unsigned ms)
 {
-    sched::TaskScope scope(id);
+    const support::Scope scope({}, id);
     if (ms)
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -91,12 +89,12 @@ TEST(SchedDisabled, EntryPointsAreInertWithoutASession)
     sched::resetForTest();
     EXPECT_FALSE(sched::enabled());
     EXPECT_EQ(sched::declareTask(decl("t")), kNoTask);
-    // TaskScope on the sentinel id must be a no-op, not a crash.
+    // A Scope on the sentinel id must be a no-op, not a crash.
     {
-        sched::TaskScope scope(kNoTask);
+        const support::Scope scope({}, kNoTask);
     }
-    sched::taskStarted(0);
-    sched::taskFinished(0);
+    const auto now = std::chrono::steady_clock::now();
+    sched::taskRan(0, now, now);
     const auto analysis = sched::analyze();
     EXPECT_TRUE(analysis.tasks.empty());
     EXPECT_TRUE(analysis.workers.empty());

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the Chrome trace-event layer (support/trace): span
- * nesting, per-thread buffer flushing, JSON round trips through the
- * mini parser and disabled-mode cost.
+ * nesting (spans come from support::Scope), per-thread buffer
+ * flushing, JSON round trips through the mini parser and
+ * disabled-mode cost.
  */
 
 #include <gtest/gtest.h>
@@ -13,15 +14,15 @@
 #include <thread>
 
 #include "json_mini.hh"
+#include "support/scope.hh"
 #include "support/thread_pool.hh"
 #include "support/trace.hh"
 
 namespace {
 
 using namespace tepic;
+using support::Scope;
 namespace trace = support::trace;
-
-#if TEPIC_TRACING_ENABLED
 
 /** Find the first event with @p name; fails the test when absent. */
 testjson::Value
@@ -43,7 +44,7 @@ TEST(Trace, DisabledModeRecordsNothing)
     bool worker_has_buffer = true;
     std::thread worker([&] {
         {
-            TEPIC_TRACE_SPAN("disabled.span");
+            const Scope scope({.span = "disabled.span"});
             trace::instant("disabled.instant");
             trace::counter("disabled.counter", 1.0);
         }
@@ -58,9 +59,9 @@ TEST(Trace, SpanNestingRoundTrip)
 {
     trace::start("");
     {
-        TEPIC_TRACE_SPAN("outer", "test");
+        const Scope outer({.span = "outer", .cat = "test"});
         {
-            TEPIC_TRACE_SPAN("inner", "test");
+            const Scope inner({.span = "inner", .cat = "test"});
         }
         trace::instant("mark", "test");
         trace::counter("cache_hits", 42.0, "test");
@@ -92,26 +93,16 @@ TEST(Trace, SpanNestingRoundTrip)
     EXPECT_EQ(counter.at("args").at("value").number, 42.0);
 }
 
-TEST(Trace, SpanArgsEmitted)
-{
-    trace::start("");
-    {
-        trace::Span span("tagged", "test", "{\"workload\":\"fir\"}");
-    }
-    const auto doc = testjson::parse(trace::stopToJson());
-    const auto tagged = findEvent(doc, "tagged");
-    EXPECT_EQ(tagged.at("args").at("workload").str, "fir");
-}
-
 TEST(Trace, ThreadBuffersFlushAtStop)
 {
     trace::start("");
     {
-        TEPIC_TRACE_SPAN("main.span", "test");
+        const Scope scope({.span = "main.span", .cat = "test"});
     }
     // The worker's buffer is destroyed at thread exit — its events
     // must retire into the registry, not vanish.
-    std::thread worker([] { TEPIC_TRACE_SPAN("worker.span", "test"); });
+    std::thread worker(
+        [] { const Scope scope({.span = "worker.span", .cat = "test"}); });
     worker.join();
     EXPECT_EQ(trace::pendingEvents(), 2u);
 
@@ -137,7 +128,8 @@ TEST(Trace, PoolDrainOnDestructRetainsWorkerSpans)
             support::ThreadPool pool(4);
             for (int i = 0; i < kTasks; ++i) {
                 pool.submit([] {
-                    TEPIC_TRACE_SPAN("drain.span", "test");
+                    const Scope scope(
+                        {.span = "drain.span", .cat = "test"});
                 });
             }
             // Pool destroyed with tasks still queued/in flight:
@@ -156,7 +148,7 @@ TEST(Trace, PoolDrainOnDestructRetainsWorkerSpans)
 TEST(Trace, SpanStraddlingStopIsDropped)
 {
     trace::start("");
-    auto *straddler = new trace::Span("straddle", "test");
+    auto *straddler = new Scope({.span = "straddle", .cat = "test"});
     const auto doc = testjson::parse(trace::stopToJson());
     delete straddler;  // destroyed after stop: must not record
     EXPECT_EQ(doc.at("traceEvents").array.size(), 0u);
@@ -168,7 +160,7 @@ TEST(Trace, StopWritesFile)
     const std::string path = "test_trace_out.json";
     trace::start(path);
     {
-        TEPIC_TRACE_SPAN("file.span", "test");
+        const Scope scope({.span = "file.span", .cat = "test"});
     }
     trace::stop();
 
@@ -193,21 +185,16 @@ TEST(Trace, RestartClearsPreviousSession)
               "second.session");
 }
 
-#else // !TEPIC_TRACING_ENABLED
-
-TEST(Trace, CompiledOutLayerIsInert)
+TEST(Trace, SpanStraddlingRestartIsDropped)
 {
-    trace::start("never_written.json");
-    {
-        TEPIC_TRACE_SPAN("noop");
-    }
-    EXPECT_FALSE(trace::enabled());
-    EXPECT_FALSE(trace::threadHasBuffer());
-    EXPECT_EQ(trace::pendingEvents(), 0u);
+    // A span opened in one session and closed in the next would carry
+    // a timestamp from the dead session's epoch: it is dropped.
+    trace::start("");
+    auto *straddler = new Scope({.span = "straddle", .cat = "test"});
+    trace::start("");
+    delete straddler;
     const auto doc = testjson::parse(trace::stopToJson());
     EXPECT_EQ(doc.at("traceEvents").array.size(), 0u);
 }
-
-#endif // TEPIC_TRACING_ENABLED
 
 } // namespace

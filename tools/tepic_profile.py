@@ -24,9 +24,8 @@ Validation is layered to match how the data can degrade:
   * structural problems (missing sections, unknown schema, phases
     that don't tile the total) are hard failures,
   * graceful degradation (no perf events -> source "thread_cputime",
-    profiler compiled out -> source "disabled", zero samples) is
-    reported as a note and exits 0 — CI containers routinely run
-    with perf_event_paranoid locked down.
+    zero samples) is reported as a note and exits 0 — CI containers
+    routinely run with perf_event_paranoid locked down.
 
 Exit codes: 0 = ok (possibly with degradation notes), 1 = invariant
 violation (e.g. phases don't tile the total, --compare mismatch),
@@ -42,7 +41,7 @@ from tepic_common import (usage_error, invariant_error, load, write_file,
 PROF_SCHEMA = "tepic-prof-v1"
 COUNTER_KEYS = ("cycles", "instructions", "cache_misses",
                 "branch_misses", "cpu_ns")
-SOURCES = ("perf_event", "thread_cputime", "disabled")
+SOURCES = ("perf_event", "thread_cputime")
 
 
 # --- validation ------------------------------------------------------
@@ -102,19 +101,15 @@ def validate(path, doc):
                 f"sum {tiled} != total {total}")
 
     notes = []
-    if doc["source"] == "disabled":
-        notes.append("profiler compiled out "
-                     "(-DTEPIC_ENABLE_TRACING=OFF build): all-zero "
-                     "report")
-    elif doc["source"] == "thread_cputime":
+    if doc["source"] == "thread_cputime":
         notes.append("perf events unavailable (perf_event_paranoid?):"
                      " cycles fall back to CLOCK_THREAD_CPUTIME_ID ns"
                      "; instructions/cache/branch counters are 0")
     if doc["samples"]["dropped"] > 0:
         notes.append(f"{doc['samples']['dropped']} stack sample(s) "
                      f"dropped (ring buffer full)")
-    if doc["source"] != "disabled" and doc["total"]["cycles"] == 0:
-        notes.append("total cycles is 0: no ProfScope ran (or the "
+    if doc["total"]["cycles"] == 0:
+        notes.append("total cycles is 0: no phase scope ran (or the "
                      "session thread never started a session)")
     return notes
 

@@ -90,17 +90,6 @@ class TepicProfileTest(unittest.TestCase):
         self.assertIn("ok", result.stdout)
         self.assertIn("perf events unavailable", result.stdout)
 
-    def test_disabled_source_is_a_note_not_an_error(self):
-        doc = prof_doc()
-        doc["source"] = "disabled"
-        for phase in doc["phases"].values():
-            phase.update(zero_counters(enters=True))
-        doc["total"] = zero_counters()
-        doc["samples"] = {"taken": 0, "dropped": 0}
-        result = run([self.write("PROF_x.json", doc)])
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("compiled out", result.stdout)
-
     def test_tiling_violation_exits_1(self):
         doc = prof_doc()
         doc["total"]["cycles"] += 7  # phases no longer tile it
